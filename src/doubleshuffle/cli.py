@@ -306,8 +306,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers over independent cells")
-    p.add_argument("--cache-dir", default=None,
-                   help="reserved; no persistent cache is used")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,11 +24,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import (Poly, RMatrix, full_rank_certificate, grlex_key,
-                            nullspace_int)
+from .exact_algebra import (Poly, full_rank_certificate, grlex_key,
+                            nullspace_int, span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
-from .words import (BINARY, WordSum, _shuffle_words, index_word_to_binary,
-                    reduced_rep)
+from .words import (BINARY, WordSum, _shuffle_words, compositions,
+                    index_word_to_binary, reduced_rep)
 
 
 @dataclass
@@ -46,22 +46,10 @@ class SolutionSpace:
 
 def monomial_basis(N: int, r: int) -> list[tuple[int, ...]]:
     """Exponent tuples of the degree-(N-r) monomials in r variables, in
-    graded-lex order."""
-    if r < 1 or N < r:
+    graded-lex order (all share one degree, so it is lexicographic)."""
+    if r < 1:
         return []
-    degree = N - r
-    exps = [tuple(c) for c in _compositions_with_zeros(degree, r)]
-    exps.sort(key=grlex_key)
-    return exps
-
-
-def _compositions_with_zeros(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions_with_zeros(total - head, parts - 1):
-            yield (head,) + rest
+    return [tuple(c - 1 for c in comp) for comp in compositions(N, r)]
 
 
 def _label_shuffles(k: int, r: int) -> list[tuple[int, ...]]:
@@ -109,7 +97,12 @@ def partial_sum_transform(f: Poly) -> Poly:
     return f.substitute(images)
 
 
-def _constraint_rows_int(N: int, r: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def assemble_constraints(N: int, r: int) -> tuple[list[list[int]],
+                                                 list[tuple[int, ...]]]:
+    """Integer constraint rows on the monomial coefficient vector, and the
+    monomials indexing its columns."""
+    if r < 1 or N < r:
+        raise ValueError(f"invalid weight/depth ({N}, {r})")
     monomials = monomial_basis(N, r)
     ncols = len(monomials)
     rows: list[list[int]] = []
@@ -159,21 +152,9 @@ def _family_to_rows(family: dict[tuple[int, ...], dict[int, int]],
     return rows
 
 
-def assemble_constraints(N: int, r: int) -> RMatrix:
-    """Full constraint matrix on the monomial coefficient vector."""
-    if r < 1 or N < r:
-        raise ValueError(f"invalid weight/depth ({N}, {r})")
-    rows, monomials = _constraint_rows_int(N, r)
-    if not rows:
-        rows = [[0] * len(monomials)] if monomials else [[]]
-    return RMatrix(rows)
-
-
 def solve(N: int, r: int) -> SolutionSpace:
     """Deterministic reduced-echelon basis of the solution space."""
-    if r < 1 or N < r:
-        raise ValueError(f"invalid weight/depth ({N}, {r})")
-    rows, monomials = _constraint_rows_int(N, r)
+    rows, monomials = assemble_constraints(N, r)
     vectors = nullspace_int(rows, len(monomials))
     basis = []
     for vec in vectors:
@@ -185,10 +166,8 @@ def solve(N: int, r: int) -> SolutionSpace:
 def dimension(N: int, r: int) -> int:
     """dim of the solution space; certifies zero via a modular full-rank
     check (a rank lower bound) before falling back to the exact solver."""
-    rows, monomials = _constraint_rows_int(N, r)
+    rows, monomials = assemble_constraints(N, r)
     ncols = len(monomials)
-    if ncols == 0:
-        return 0
     if rows and full_rank_certificate(rows, ncols):
         return 0
     return len(nullspace_int(rows, ncols))
@@ -231,17 +210,6 @@ def dims_table(max_weight: int, max_depth: int) -> dict[tuple[int, int], int]:
 # Span of iterated brackets of depth-1 generators
 # ---------------------------------------------------------------------
 
-def _odd_compositions(N: int, r: int):
-    """Ordered tuples of r odd parts >= 3 summing to N."""
-    if r == 0:
-        if N == 0:
-            yield ()
-        return
-    for head in range(3, N - 3 * (r - 1) + 1, 2):
-        for rest in _odd_compositions(N - head, r - 1):
-            yield (head,) + rest
-
-
 def iterated_bracket_span(N: int, r: int) -> SolutionSpace:
     """Normalized span of all r-fold brackets of depth-1 generators with
     total weight N.
@@ -252,7 +220,11 @@ def iterated_bracket_span(N: int, r: int) -> SolutionSpace:
     monomials = monomial_basis(N, r)
     col_of = {m: j for j, m in enumerate(monomials)}
     vectors: list[list[Fraction]] = []
-    for parts in _odd_compositions(N, r):
+    # ordered tuples of r odd parts >= 3 summing to N: parts 2a+1 with a >= 1
+    odd_parts = ([tuple(2 * a + 1 for a in comp)
+                  for comp in compositions((N - r) // 2, r)]
+                 if (N - r) % 2 == 0 else [])
+    for parts in odd_parts:
         acc = depth1_generator(parts[-1])
         for w in reversed(parts[:-1]):
             acc = bracket(depth1_generator(w), acc)
@@ -270,23 +242,6 @@ def iterated_bracket_span(N: int, r: int) -> SolutionSpace:
     return SolutionSpace(N, r, basis)
 
 
-def span_rref(vectors: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Reduced-echelon normalization of a spanning set (deterministic)."""
-    from math import gcd
-
-    from .exact_algebra import _echelon_insert, _echelon_to_rref
-
-    echelon: dict[int, list[int]] = {}
-    for vec in vectors:
-        denom = 1
-        for x in vec:
-            if x.denominator != 1:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        _echelon_insert(echelon, [int(x * denom) for x in vec])
-    rref = _echelon_to_rref(echelon, ncols)
-    return [rref[col] for col in sorted(rref)]
-
-
 # ---------------------------------------------------------------------
 # Independent word-level route (cross-representation oracle)
 # ---------------------------------------------------------------------
@@ -300,27 +255,6 @@ def _binary_words(N: int, r: int) -> list[tuple[int, ...]]:
         words.append(tuple(word))
     words.sort()
     return words
-
-
-def _index_words(N: int, r: int) -> list[tuple[int, ...]]:
-    out = []
-    for comp in _compositions_positive(N, r):
-        out.append(comp)
-    return out
-
-
-def _compositions_positive(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions_positive(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def solve_words(N: int, r: int) -> list[Poly]:
@@ -357,8 +291,8 @@ def solve_words(N: int, r: int) -> list[Poly]:
 
     for l in range(1, r):
         for i in range(l, N - (r - l) + 1):
-            for p in _index_words(i, l):
-                for q in _index_words(N - i, r - l):
+            for p in compositions(i, l):
+                for q in compositions(N - i, r - l):
                     if (l, i, p) > (r - l, N - i, q):
                         continue
                     row = [0] * ncols

@@ -1,22 +1,26 @@
 """Exact arithmetic substrate: rationals, sparse multivariate polynomials,
-and rational matrices with exact rank/nullspace.
+and one exact linear-algebra kernel on integer rows.
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (always in
 lowest terms, positive denominator).  A polynomial is a fixed-arity sparse
 map from exponent tuples to nonzero rational coefficients; the zero
-polynomial is the empty map.  Matrices support fraction-free (Bareiss)
-rank and a deterministic reduced-echelon nullspace.  A modular fast path
-(single machine prime, numpy integer arithmetic) is used only to *select*
-pivot rows or to certify full column rank; every emitted rank/nullspace
-value is established by exact integer arithmetic on top of it.
+polynomial is the empty map.  The kernel takes integer rows and returns the
+canonical rational nullspace (``nullspace_int``, one vector per free column,
+found by back-substitution) and the reduced echelon form read off it
+(``span_rref``); ranks come from fraction-free Bareiss elimination.  A
+modular fast path (single machine prime, numpy integer arithmetic) is used
+only to *select* pivot rows or to certify full column rank; every emitted
+rank/nullspace value is established by exact integer arithmetic on top of
+it.
 
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -343,39 +347,8 @@ def divexact(p: Poly, q: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------
-# Exact rational matrices
+# Exact linear algebra on integer rows
 # ---------------------------------------------------------------------
-
-class RMatrix:
-    """Dense matrix of rationals, stored row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    def row_int(self, i: int) -> list[int]:
-        """Row i scaled to a primitive integer vector (kept proportional)."""
-        row = self.entries[i]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        return ints
-
-    def int_rows(self) -> list[list[int]]:
-        return [self.row_int(i) for i in range(self.rows)]
-
 
 def _normalize_int_row(row: list[int]) -> list[int] | None:
     """Divide by the gcd and make the leading nonzero entry positive."""
@@ -427,19 +400,43 @@ def _echelon_insert(echelon: dict[int, list[int]], row: list[int]) -> int | None
             row = [v // g2 for v in row]
 
 
-def _echelon_to_rref(echelon: dict[int, list[int]], ncols: int) -> dict[int, list[Fraction]]:
-    """Back-substitute an integer echelon into reduced row echelon form."""
-    rref: dict[int, list[Fraction]] = {}
-    for col in sorted(echelon, reverse=True):
-        row = [Fraction(v) for v in echelon[col]]
-        piv = row[col]
-        row = [v / piv for v in row]
-        for other_col, other_row in rref.items():
-            factor = row[other_col]
-            if factor:
-                row = [a - factor * b for a, b in zip(row, other_row)]
-        rref[col] = row
-    return rref
+def _free_column_basis(echelon: dict[int, list[int]],
+                       ncols: int) -> dict[int, list[Fraction]]:
+    """Canonical nullspace basis of an integer echelon, keyed by free column.
+
+    The vector of free column f has 1 at f and 0 at every other free column,
+    so it is the one read off the reduced row echelon form.  It is found by
+    back-substitution through the pivots p < f in descending order (pivots
+    above f stay 0), as integers over one common denominator; the reduced
+    form itself is never built.
+    """
+    pivots = sorted(echelon)
+    zero = Fraction(0)
+    basis: dict[int, list[Fraction]] = {}
+    for f in range(ncols):
+        if f in echelon:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        # denom divides the product of the pivot entries (Cramer's rule), so
+        # it needs no intermediate gcd reduction
+        denom = 1
+        support = [f]
+        for p in reversed(pivots[:bisect_left(pivots, f)]):
+            row = echelon[p]
+            num = -sum(row[j] * vec[j] for j in support)
+            if not num:
+                continue
+            g = gcd(num, row[p])
+            scale = row[p] // g
+            if scale != 1:
+                for j in support:
+                    vec[j] *= scale
+                denom *= scale
+            vec[p] = num // g
+            support.append(p)
+        basis[f] = [Fraction(v, denom) if v else zero for v in vec]
+    return basis
 
 
 def _modp_pivot_rows(rows: Iterable[Sequence[int]], ncols: int,
@@ -481,25 +478,19 @@ def _modp_pivot_rows(rows: Iterable[Sequence[int]], ncols: int,
     return r, piv_rows
 
 
-def nullspace_int(rows: list[list[int]], ncols: int,
-                  use_modular: bool = True) -> list[list[Fraction]]:
+def nullspace_int(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
     """Exact nullspace basis of an integer row system, deterministically.
 
-    The basis is the canonical one obtained from the reduced row echelon
-    form: one vector per free column, with coefficient 1 on its free column
-    and 0 on every other free column.  When ``use_modular`` is set, a mod-p
-    elimination first selects candidate pivot rows; exact elimination then
-    runs on those rows only, and every remaining row is verified against
-    the computed basis by exact dot products (with a fallback insertion if
-    verification ever fails, so the result is exact regardless of p).
+    The basis is the canonical one of the reduced row echelon form: one
+    vector per free column, with coefficient 1 on its free column and 0 on
+    every other free column.  Above 4000 matrix entries a mod-p elimination
+    first selects candidate pivot rows; exact elimination then runs on those
+    rows only, and every remaining row is verified against the computed
+    basis by exact dot products (with a fallback insertion if verification
+    ever fails, so the result is exact regardless of p).
     """
     work = [row for row in rows if any(row)]
-    if not work:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-                for i in range(ncols)]
-
-    echelon: dict[int, list[int]] = {}
-    if use_modular and len(work) * ncols > 4000:
+    if len(work) * ncols > 4000:
         _, piv = _modp_pivot_rows(work, ncols)
         piv_set = set(piv)
         selected = [work[i] for i in piv]
@@ -507,13 +498,14 @@ def nullspace_int(rows: list[list[int]], ncols: int,
     else:
         selected = work
         rest = []
+    echelon: dict[int, list[int]] = {}
     for row in selected:
         _echelon_insert(echelon, list(row))
         if len(echelon) == ncols:
             return []
 
     while True:
-        basis = _nullspace_from_echelon(echelon, ncols)
+        basis = list(_free_column_basis(echelon, ncols).values())
         if not basis:
             return []
         bad = None
@@ -531,25 +523,28 @@ def nullspace_int(rows: list[list[int]], ncols: int,
         rest = [r for r in rest if r is not bad]
 
 
-def _nullspace_from_echelon(echelon: dict[int, list[int]],
-                            ncols: int) -> list[list[Fraction]]:
-    rref = _echelon_to_rref(echelon, ncols)
-    pivot_cols = sorted(rref)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for p in pivot_cols:
-            vec[p] = -rref[p][f]
-        basis.append(vec)
-    return basis
+def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
+    """Reduced row echelon form of the span of rational vectors: one row per
+    pivot column, in ascending order (deterministic).
 
-
-def nullspace(m: RMatrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace in reduced echelon normal form."""
-    return nullspace_int(m.int_rows(), m.cols)
+    The rows are read off the canonical nullspace basis: row p has 1 at p,
+    0 at the other pivots and -basis_f[p] at each free column f.
+    """
+    echelon: dict[int, list[int]] = {}
+    for vec in vectors:
+        denom = 1
+        for x in vec:
+            denom = lcm(denom, x.denominator)
+        _echelon_insert(echelon, [int(x * denom) for x in vec])
+    basis = _free_column_basis(echelon, ncols)
+    out = []
+    for p in sorted(echelon):
+        row = [Fraction(0)] * ncols
+        row[p] = Fraction(1)
+        for f, vec in basis.items():
+            row[f] = -vec[p]
+        out.append(row)
+    return out
 
 
 def rank_bareiss(rows: list[list[int]]) -> int:
@@ -583,10 +578,6 @@ def rank_bareiss(rows: list[list[int]]) -> int:
         if r == nrows:
             break
     return r
-
-
-def rank(m: RMatrix) -> int:
-    return rank_bareiss(m.int_rows())
 
 
 def rank_modular(rows: list[list[int]], ncols: int, p: int = _PRIME) -> int:

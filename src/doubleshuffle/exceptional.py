@@ -36,28 +36,13 @@ class ExceptionalElement:
         return len(self.reduced.body)
 
 
-def _rotate(f: Poly, k: int) -> Poly:
-    """Substitute y_i -> y_{i+k mod arity} (cyclic index rotation)."""
-    n = f.arity
-    k %= n
-    if k == 0:
-        return f
-    out = {}
-    for exps, coeff in f.terms.items():
-        new = [0] * n
-        for i, e in enumerate(exps):
-            new[(i + k) % n] = e
-        out[tuple(new)] = coeff
-    return Poly(n, out, _clean=True)
-
-
 def build_exceptional(f: PeriodPolynomial, name: str = "") -> ExceptionalElement:
     y = [Poly.variable(5, i) for i in range(5)]
     seed = (f.f1.substitute([y[4] - y[3], y[2] - y[1]])
             + (y[0] - y[1]) * f.f0.substitute([y[2] - y[3], y[4] - y[3]]))
     full = Poly.zero(5)
     for k in range(5):
-        full = full + _rotate(seed, k)
+        full = full + seed.permute_variables([(i + k) % 5 for i in range(5)])
     reduced = DepthPoly(4, f.twoN, restrict_y0(full))
     return ExceptionalElement(f, name or f"e{f.twoN}", full, reduced)
 

@@ -5,35 +5,18 @@ action x_1^{2 m_1} . (x_2^{2 m_2} . ( ... x_r^{2 m_r})); the coefficient of
 x_1^{2 n_1}..x_r^{2 n_r} in the result is an integer built from binomial
 coefficients.  Collecting all pairs of compositions of N into r parts gives
 a square matrix whose exact rank counts the independent totally odd
-depth-graded elements at weight 2N + r.  Ranks are computed fraction-free;
-an optional single-prime modular path must agree with the exact one.
+depth-graded elements at weight 2N + r.  Ranks are computed fraction-free
+(Bareiss); the tests check them against the single-prime modular rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_algebra import rank_bareiss, rank_modular
+from .exact_algebra import rank_bareiss
 from .ihara import DepthPoly, depth1_action, depth1_generator
 from .series import DimTable
-
-
-def compositions(N: int, r: int) -> list[tuple[int, ...]]:
-    """Compositions of N into r positive parts, lexicographically ordered
-    (the fixed matrix indexing)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(total: int, parts: int, prefix: tuple[int, ...]) -> None:
-        if parts == 1:
-            if total >= 1:
-                out.append(prefix + (total,))
-            return
-        for head in range(1, total - parts + 2):
-            rec(total - head, parts - 1, prefix + (head,))
-
-    if r >= 1 and N >= r:
-        rec(N, r, ())
-    return out
+from .words import compositions  # the fixed matrix indexing (lex order)
 
 
 def nested_action(m: tuple[int, ...]) -> DepthPoly:
@@ -86,14 +69,9 @@ def odd_matrix(N: int, r: int) -> OddMatrix:
     return OddMatrix(N, r, entries)
 
 
-def odd_rank(N: int, r: int, check_modular: bool = False) -> int:
+def odd_rank(N: int, r: int) -> int:
     """Exact rank of the composition matrix."""
-    matrix = odd_matrix(N, r)
-    exact = rank_bareiss(matrix.entries)
-    if check_modular:
-        modular = rank_modular(matrix.entries, matrix.size)
-        assert modular == exact, "modular fast path disagrees with exact rank"
-    return exact
+    return rank_bareiss(odd_matrix(N, r).entries)
 
 
 MAX_TABLE_WEIGHT = 31

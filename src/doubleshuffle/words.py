@@ -33,6 +33,17 @@ def depth(word: Word, alphabet: str = BINARY) -> int:
     return sum(word) if alphabet == BINARY else len(word)
 
 
+def compositions(total: int, parts: int) -> list[Word]:
+    """Compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order: the index words of weight ``total`` and depth
+    ``parts``."""
+    if parts <= 0 or total < parts:
+        return [()] if parts == total == 0 else []
+    return [(head,) + rest
+            for head in range(1, total - parts + 2)
+            for rest in compositions(total - head, parts - 1)]
+
+
 def word_to_str(word: Word, alphabet: str = BINARY) -> str:
     if alphabet == BINARY:
         return " ".join(f"e{letter}" for letter in word)

@@ -3,6 +3,8 @@ format round-trips and determinism across parallelism degrees."""
 
 import json
 
+import pytest
+
 from doubleshuffle.cli import main
 
 
@@ -43,6 +45,12 @@ def test_dims_out_of_bounds_usage_error(capsys):
     assert code == 2
     code, _ = run(capsys, "dims", "--max-weight", "10", "--max-depth", "9")
     assert code == 2
+
+
+def test_cache_dir_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--cache-dir", "cache"])
+    assert exc.value.code == 2
 
 
 def test_exceptional_weight12(capsys):

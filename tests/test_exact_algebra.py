@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from doubleshuffle.exact_algebra import (Poly, RMatrix, divexact,
+from doubleshuffle import exact_algebra
+from doubleshuffle.exact_algebra import (_PRIME, Poly, divexact,
                                          format_rational, grlex_key,
-                                         nullspace, nullspace_int,
-                                         parse_rational, rank, rank_bareiss,
-                                         rank_modular)
+                                         nullspace_int, parse_rational,
+                                         rank_bareiss, rank_modular, span_rref)
 
 
 def random_poly(rng, arity, max_deg=3, max_terms=4):
@@ -189,18 +189,16 @@ def test_divexact():
 # -- matrices ------------------------------------------------------------
 
 def test_nullspace_identity_empty():
-    m = RMatrix([[1, 0], [0, 1]])
-    assert nullspace(m) == []
+    assert nullspace_int([[1, 0], [0, 1]], 2) == []
 
 
 def test_nullspace_one_dim():
-    m = RMatrix([[1, -1]])
-    assert nullspace(m) == [[Fraction(1), Fraction(1)]]
+    assert nullspace_int([[1, -1]], 2) == [[Fraction(1), Fraction(1)]]
 
 
 def test_rank_examples():
-    assert rank(RMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(RMatrix([[0, 0], [0, 0]])) == 0
+    assert rank_bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert rank_bareiss([[0, 0], [0, 0]]) == 0
 
 
 def test_rank_plus_nullity_and_orthogonality():
@@ -208,13 +206,13 @@ def test_rank_plus_nullity_and_orthogonality():
     for _ in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        # half-integer entries scaled by 2: the same row spaces, in integers
+        entries = [[rng.randint(-3, 3) * (2 // rng.randint(1, 2))
                     for _ in range(cols)] for _ in range(rows)]
-        m = RMatrix(entries)
-        basis = nullspace(m)
-        assert rank(m) + len(basis) == cols
+        basis = nullspace_int(entries, cols)
+        assert rank_bareiss(entries) + len(basis) == cols
         for vec in basis:
-            for row in m.entries:
+            for row in entries:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
@@ -227,32 +225,92 @@ def test_modular_rank_agrees_with_exact():
         assert rank_modular(mat, cols) == rank_bareiss(mat)
 
 
-def test_nullspace_modular_path_matches_pure_exact():
+def nullspace_from_rref(rows, ncols):
+    """Canonical nullspace read off ``span_rref``, which has no modular pass."""
+    rref = span_rref(rows, ncols)
+    pivots = [row.index(1) for row in rref]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for p, row in zip(pivots, rref):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def low_rank_rows(rng, nrows, ncols, rank, first_col=0):
+    """Integer combinations of ``rank`` random rows supported on the columns
+    from ``first_col`` on."""
+    base = [[0] * first_col + [rng.randint(-3, 3) for _ in range(ncols - first_col)]
+            for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-2, 2) for _ in range(rank)]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                     for j in range(ncols)])
+    return rows
+
+
+def count_kernel_calls(monkeypatch):
+    """Record the mod-p ranks and the exact insertions of ``nullspace_int``."""
+    calls = {"modp_ranks": [], "inserts": 0}
+    modp, insert = exact_algebra._modp_pivot_rows, exact_algebra._echelon_insert
+
+    def counted_modp(*args, **kwargs):
+        rank, piv = modp(*args, **kwargs)
+        calls["modp_ranks"].append(rank)
+        return rank, piv
+
+    def counted_insert(*args, **kwargs):
+        calls["inserts"] += 1
+        return insert(*args, **kwargs)
+
+    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted_modp)
+    monkeypatch.setattr(exact_algebra, "_echelon_insert", counted_insert)
+    return calls
+
+
+def test_nullspace_modular_path_matches_pure_exact(monkeypatch):
+    # above the 4000-entry threshold the modular pass selects the pivot rows
     rng = random.Random(13)
-    for _ in range(25):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        assert (nullspace_int([list(r) for r in mat], cols, use_modular=True)
-                == nullspace_int([list(r) for r in mat], cols, use_modular=False))
+    for nrows, ncols, rank in [(110, 40, 25), (90, 50, 50), (70, 60, 3)]:
+        rows = low_rank_rows(rng, nrows, ncols, rank)
+        assert nrows * ncols > 4000
+        calls = count_kernel_calls(monkeypatch)
+        basis = nullspace_int(rows, ncols)
+        monkeypatch.undo()
+        assert len(calls["modp_ranks"]) == 1
+        assert basis == nullspace_from_rref(rows, ncols)
 
 
-def test_nullspace_degenerate_prime_entries():
-    # entries divisible by the fast-path prime: the modular pass sees zero
-    # rows, so the exact verification fallback must reinsert them
-    from doubleshuffle.exact_algebra import _PRIME
-
-    rows = [[_PRIME, 0], [0, 0]]
-    assert nullspace_int(rows, 2, use_modular=True) == [[Fraction(0), Fraction(1)]]
-    rows = [[_PRIME, _PRIME * 2], [3 * _PRIME, 6 * _PRIME]]
-    basis = nullspace_int(rows, 2, use_modular=True)
-    assert basis == [[Fraction(-2), Fraction(1)]]
+def test_nullspace_degenerate_prime_entries(monkeypatch):
+    # rows _PRIME * e_j vanish mod p, so the modular pass never selects them
+    # and the exact verification fallback must insert each one
+    rng = random.Random(17)
+    ncols = 50
+    prime_rows = [[_PRIME if j == col else 0 for j in range(ncols)]
+                  for col in range(5)]
+    rows = prime_rows[:3] + low_rank_rows(rng, 85, ncols, 30, first_col=5) + prime_rows[3:]
+    assert len(rows) * ncols > 4000
+    calls = count_kernel_calls(monkeypatch)
+    basis = nullspace_int(rows, ncols)
+    monkeypatch.undo()
+    [modp_rank] = calls["modp_ranks"]
+    assert modp_rank == 30
+    assert calls["inserts"] == modp_rank + len(prime_rows)
+    assert rank_bareiss(rows) + len(basis) == ncols
+    for vec in basis:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+    assert basis == nullspace_from_rref(rows, ncols)
 
 
 def test_nullspace_deterministic_normal_form():
     # canonical form: coefficient 1 on the own free column, 0 on the others
-    m = RMatrix([[1, 2, 3, 4]])
-    basis = nullspace(m)
+    basis = nullspace_int([[1, 2, 3, 4]], 4)
     assert len(basis) == 3
     free_cols = [1, 2, 3]
     for i, vec in enumerate(basis):

@@ -1,6 +1,6 @@
 """Tests for the totally odd composition matrices and their ranks."""
 
-from doubleshuffle.exact_algebra import Poly
+from doubleshuffle.exact_algebra import Poly, rank_modular
 from doubleshuffle.ihara import depth1_generator, poly_compose
 from doubleshuffle.odd_mzv import (c_coefficient, compositions, nested_action,
                                    odd_matrix, odd_rank, odd_rank_table,
@@ -57,7 +57,8 @@ def test_odd_matrix_5_2():
     mat = odd_matrix(5, 2)
     assert mat.size == 4
     assert mat.mzv_weight == 12
-    assert odd_rank(5, 2, check_modular=True) == 3
+    assert odd_rank(5, 2) == 3
+    assert rank_modular(mat.entries, mat.size) == 3
 
 
 def test_rank_bounds():
@@ -85,4 +86,5 @@ def test_rank_table_parity():
 def test_modular_agreement_on_emitted_values():
     for r in (1, 2, 3):
         for N in range(r, 7):
-            odd_rank(N, r, check_modular=True)
+            mat = odd_matrix(N, r)
+            assert rank_modular(mat.entries, mat.size) == odd_rank(N, r)

@@ -113,7 +113,7 @@ def test_integral_generators_verbatim():
 
 
 def test_integral_generators_in_cusp_span():
-    from doubleshuffle.double_shuffle import span_rref
+    from doubleshuffle.exact_algebra import span_rref
 
     for two_n, pp in integral_generators().items():
         basis = basis_S(two_n)
@@ -137,8 +137,8 @@ def test_kernel_of_depth2_bracket_is_cusp_space():
     """Wedge combinations of depth-1 generators that bracket to zero
     correspond exactly to period polynomials via
     lambda_(i,j) -> sum (lambda_ij - lambda_ji) X^{2i} Y^{2j}."""
-    from doubleshuffle.double_shuffle import monomial_basis, span_rref
-    from doubleshuffle.exact_algebra import nullspace_int
+    from doubleshuffle.double_shuffle import monomial_basis
+    from doubleshuffle.exact_algebra import nullspace_int, span_rref
     from doubleshuffle.ihara import bracket, depth1_generator
 
     for N in range(12, 21, 2):
