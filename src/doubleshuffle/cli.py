@@ -236,6 +236,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_express(args) -> int:
     composition = tuple(int(x) for x in args.composition.split(","))
+    _check_bounds(sum(composition), len(composition))
     space = solve(sum(composition), len(composition))
     if space.dimension == 0:
         print("solution space is zero-dimensional", file=sys.stderr)

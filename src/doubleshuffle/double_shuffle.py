@@ -9,9 +9,11 @@ in two families per split k in 1..r-1:
     f(x_{i_1}, x_{i_1}+x_{i_2}, ...) (the linearized first product),
 
 where the argument labels run over the shuffles of (1..k) and (k+1..r).
-In depth 1 there are no splits; even weights (and the degenerate weight 1)
-are forced to zero.  The solution space is extracted as a deterministic
-reduced-echelon nullspace.
+The shuffle product commutes, so split r-k gives the rows of split k with
+the variables rotated: the same set of rows.  Only the splits k <= r/2 are
+assembled, and each distinct row is kept once.  In depth 1 there are no
+splits; even weights (and the degenerate weight 1) are forced to zero.  The
+solution space is extracted as a deterministic reduced-echelon nullspace.
 
 A word-level route (shuffle constraints on binary words plus index-word
 shuffle constraints) is kept fully independent of the polynomial route and
@@ -23,9 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import itemgetter
 
-from .exact_algebra import (Poly, full_rank_certificate, grlex_key,
-                            nullspace_int, span_rref)
+import numpy as np
+
+from .exact_algebra import (Poly, full_rank_certificate, nullspace_int,
+                            span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
 from .words import (BINARY, WordSum, _shuffle_words, compositions,
                     index_word_to_binary, reduced_rep)
@@ -59,30 +65,30 @@ def _label_shuffles(k: int, r: int) -> list[tuple[int, ...]]:
     return [word for word, _ in _shuffle_words(left, right)]
 
 
-def _expand_partial_sums(m: tuple[int, ...], r: int) -> dict[tuple[int, ...], int]:
-    """Integer expansion of prod_j (x_1 + ... + x_j)^{m_j}.
+def _partial_sum_matrix(degree: int, r: int, dtype) -> np.ndarray:
+    """Integer matrix of f -> f(x_1, x_1 + x_2, ...) on the
+    degree-``degree`` monomials in r variables, in ``monomial_basis`` order:
+    column b is the expansion of prod_j (x_1 + ... + x_j)^{b_j}.
 
-    The transform for an arbitrary label sequence is this expansion with
-    the variables relabelled, so it is computed once per monomial.
+    Built degree by degree: the monomial b whose last variable is x_i is
+    x_i times a monomial c of one degree lower, so its column is column c
+    multiplied by x_1 + ... + x_i.
     """
-    acc: dict[tuple[int, ...], int] = {(0,) * r: 1}
-    for j, mj in enumerate(m):
-        for _ in range(mj):
-            new: dict[tuple[int, ...], int] = {}
-            for exps, coeff in acc.items():
-                for v in range(j + 1):
-                    key = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
-                    new[key] = new.get(key, 0) + coeff
-            acc = new
-    return acc
-
-
-def _relabel(exps: tuple[int, ...], seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Move the exponent in position j to position seq[j] - 1."""
-    out = [0] * len(exps)
-    for j, e in enumerate(exps):
-        out[seq[j] - 1] = e
-    return tuple(out)
+    lower = {(0,) * r: 0}
+    mat = np.ones((1, 1), dtype=dtype)
+    for d in range(1, degree + 1):
+        index = {m: j for j, m in enumerate(monomial_basis(d + r, r))}
+        # times_x[v][c]: index of x_v times the lower monomial c
+        times_x = [[index[c[:v] + (c[v] + 1,) + c[v + 1:]] for c in lower]
+                   for v in range(r)]
+        new = np.zeros((len(index), len(index)), dtype=dtype)
+        for m, b in index.items():
+            i = max(v for v in range(r) if m[v])
+            column = mat[:, lower[m[:i] + (m[i] - 1,) + m[i + 1:]]]
+            for v in range(i + 1):
+                new[times_x[v], b] += column
+        lower, mat = index, new
+    return mat
 
 
 def partial_sum_transform(f: Poly) -> Poly:
@@ -97,59 +103,36 @@ def partial_sum_transform(f: Poly) -> Poly:
     return f.substitute(images)
 
 
-def assemble_constraints(N: int, r: int) -> tuple[list[list[int]],
+def assemble_constraints(N: int, r: int) -> tuple[list[tuple[int, ...]],
                                                  list[tuple[int, ...]]]:
-    """Integer constraint rows on the monomial coefficient vector, and the
-    monomials indexing its columns."""
+    """Distinct integer constraint rows on the monomial coefficient vector,
+    and the monomials indexing its columns."""
     if r < 1 or N < r:
         raise ValueError(f"invalid weight/depth ({N}, {r})")
     monomials = monomial_basis(N, r)
     ncols = len(monomials)
-    rows: list[list[int]] = []
-
     if r == 1:
-        if N % 2 == 0 or N == 1:
-            for j in range(ncols):
-                row = [0] * ncols
-                row[j] = 1
-                rows.append(row)
-        return rows, monomials
+        # the single unknown is forced to zero at even weight and weight 1
+        return [(1,)] if N % 2 == 0 or N == 1 else [], monomials
 
-    expansions = [_expand_partial_sums(m, r) for m in monomials]
-    for k in range(1, r):
-        labels = _label_shuffles(k, r)
-        # argument-shuffle family: rows indexed by target monomials
-        family: dict[tuple[int, ...], dict[int, int]] = {}
-        for j, m in enumerate(monomials):
-            for seq in labels:
-                slot = family.setdefault(_relabel(m, seq), {})
-                slot[j] = slot.get(j, 0) + 1
-        rows.extend(_family_to_rows(family, ncols))
-        # partial-sum family
-        family = {}
-        for j, expansion in enumerate(expansions):
-            for seq in labels:
-                for key, coeff in expansion.items():
-                    slot = family.setdefault(_relabel(key, seq), {})
-                    slot[j] = slot.get(j, 0) + coeff
-        rows.extend(_family_to_rows(family, ncols))
-    return rows, monomials
-
-
-def _family_to_rows(family: dict[tuple[int, ...], dict[int, int]],
-                    ncols: int) -> list[list[int]]:
-    rows = []
-    for key in sorted(family, key=grlex_key):
-        entries = family[key]
-        row = [0] * ncols
-        nonzero = False
-        for j, coeff in entries.items():
-            if coeff:
-                row[j] = coeff
-                nonzero = True
-        if nonzero:
-            rows.append(row)
-    return rows
+    index = {m: j for j, m in enumerate(monomials)}
+    # an expansion coefficient is at most r^(N-r) (set every x_j = 1), and a
+    # row entry sums at most comb(r, r // 2) of them
+    dtype = np.int64 if r ** (N - r) * comb(r, r // 2) < 2 ** 63 else object
+    # column j: the monomial j itself, and its partial-sum expansion
+    bases = (np.eye(ncols, dtype=dtype), _partial_sum_matrix(N - r, r, dtype))
+    rows: dict[tuple[int, ...], None] = {}
+    for k in range(1, r // 2 + 1):
+        # row t of a family sums, over the shuffles seq, the base row of the
+        # monomial that seq relabels to t (position j goes to seq[j] - 1)
+        sources = [list(map(index.__getitem__,
+                            map(itemgetter(*(s - 1 for s in seq)), monomials)))
+                   for seq in _label_shuffles(k, r)]
+        for base in bases:
+            family = sum(base[source] for source in sources)
+            family = family[family.any(axis=1)].tolist()
+            rows.update(dict.fromkeys(map(tuple, family)))
+    return list(rows), monomials
 
 
 def solve(N: int, r: int) -> SolutionSpace:
@@ -185,7 +168,7 @@ def membership_test(f: DepthPoly) -> bool:
     if r == 1:
         return f.weight % 2 == 1 and f.weight >= 3
     sharp = partial_sum_transform(body)
-    for k in range(1, r):
+    for k in range(1, r // 2 + 1):
         arg_sum = Poly.zero(r)
         sharp_sum = Poly.zero(r)
         for seq in _label_shuffles(k, r):

@@ -350,69 +350,48 @@ def divexact(p: Poly, q: Poly) -> Poly:
 # Exact linear algebra on integer rows
 # ---------------------------------------------------------------------
 
-def _normalize_int_row(row: list[int]) -> list[int] | None:
-    """Divide by the gcd and make the leading nonzero entry positive."""
-    g = 0
-    lead = None
-    for i, v in enumerate(row):
-        if v:
-            if lead is None:
-                lead = i
-            g = gcd(g, v)
-    if lead is None:
-        return None
-    if row[lead] < 0:
-        g = -g
-    return [v // g for v in row]
-
-
 def _echelon_insert(echelon: dict[int, list[int]], row: list[int]) -> int | None:
-    """Reduce ``row`` against an integer echelon and insert it if independent.
+    """Reduce ``row`` (a fresh list, modified here) against an integer
+    echelon and insert it if independent.
 
     Returns the pivot column on insertion, None if the row reduced to zero.
-    ``echelon`` maps pivot column -> primitive integer row.
+    ``echelon`` maps pivot column -> primitive integer row with a positive
+    leading entry.
     """
     ncols = len(row)
+    lead = 0
     while True:
-        lead = None
-        for i in range(ncols):
-            if row[i]:
-                lead = i
-                break
-        if lead is None:
+        # entries left of lead are zero in row and in the pivot row at lead
+        while lead < ncols and not row[lead]:
+            lead += 1
+        if lead == ncols:
             return None
         piv = echelon.get(lead)
         if piv is None:
-            norm = _normalize_int_row(row)
-            assert norm is not None
-            echelon[lead] = norm
+            g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+            echelon[lead] = [v // g for v in row]
             return lead
-        a = piv[lead]
-        b = row[lead]
-        g = gcd(a, b)
-        ma = a // g
-        mb = b // g
-        row = [ma * rv - mb * pv for rv, pv in zip(row, piv)]
-        g2 = 0
-        for v in row:
-            g2 = gcd(g2, v)
-        if g2 > 1:
-            row = [v // g2 for v in row]
+        g = gcd(piv[lead], row[lead])
+        ma, mb = piv[lead] // g, row[lead] // g
+        row[lead:] = [ma * rv - mb * pv
+                      for rv, pv in zip(row[lead:], piv[lead:])]
+        g = gcd(*row)
+        if g > 1:
+            row = [v // g for v in row]
 
 
 def _free_column_basis(echelon: dict[int, list[int]],
-                       ncols: int) -> dict[int, list[Fraction]]:
+                       ncols: int) -> dict[int, tuple[list[int], int]]:
     """Canonical nullspace basis of an integer echelon, keyed by free column.
 
     The vector of free column f has 1 at f and 0 at every other free column,
     so it is the one read off the reduced row echelon form.  It is found by
     back-substitution through the pivots p < f in descending order (pivots
-    above f stay 0), as integers over one common denominator; the reduced
-    form itself is never built.
+    above f stay 0) and returned as integers over one positive common
+    denominator; the reduced form itself is never built.
     """
     pivots = sorted(echelon)
-    zero = Fraction(0)
-    basis: dict[int, list[Fraction]] = {}
+    basis: dict[int, tuple[list[int], int]] = {}
     for f in range(ncols):
         if f in echelon:
             continue
@@ -435,7 +414,7 @@ def _free_column_basis(echelon: dict[int, list[int]],
                 denom *= scale
             vec[p] = num // g
             support.append(p)
-        basis[f] = [Fraction(v, denom) if v else zero for v in vec]
+        basis[f] = (vec, denom)
     return basis
 
 
@@ -443,55 +422,70 @@ def _modp_pivot_rows(rows: Iterable[Sequence[int]], ncols: int,
                      p: int = _PRIME) -> tuple[int, list[int]]:
     """Gaussian elimination mod p; returns (rank, indices of pivot rows).
 
-    Deterministic: columns are scanned left to right and the first usable
-    row (in input order) becomes the pivot.  The selected rows are linearly
-    independent over Q as well, since their mod-p rank is full.
+    Deterministic.  The rows are taken in input order, 64 at a time, and
+    the pass stops once the rank is ncols.  A block is first reduced by the
+    pivot rows found so far, in increasing pivot column (each is zero left
+    of its pivot column, so this clears every pivot column), then its
+    columns are scanned left to right and the first usable row becomes the
+    pivot.  The selected rows are linearly independent over Q as well, since
+    their mod-p rank is full.
     """
     mat = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    if mat.size == 0:
-        return 0, []
-    nrows = mat.shape[0]
-    order = np.arange(nrows)
+    pivots: dict[int, np.ndarray] = {}  # column -> its pivot row, 1 there
     piv_rows: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for start in range(0, len(mat), 64):
+        if len(pivots) == ncols:
             break
-        col = mat[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            mat[[r, i]] = mat[[i, r]]
-            order[[r, i]] = order[[i, r]]
-        piv_rows.append(int(order[r]))
-        inv = pow(int(mat[r, c]), p - 2, p)
-        mat[r] = (mat[r] * inv) % p
-        below = mat[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            factors = mat[idx, c][:, None]
-            mat[idx] = (mat[idx] - factors * mat[r][None, :]) % p
-        r += 1
-    return r, piv_rows
+        block = mat[start:start + 64]
+        order = np.arange(start, start + len(block))
+        for c in sorted(pivots):
+            _eliminate_modp(block, pivots[c], c, p)
+        r = 0
+        for c in range(ncols):
+            if r == len(block):
+                break
+            nz = np.nonzero(block[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                block[[r, i]] = block[[i, r]]
+                order[[r, i]] = order[[i, r]]
+            block[r, c:] = block[r, c:] * pow(int(block[r, c]), p - 2, p) % p
+            pivots[c] = block[r]
+            piv_rows.append(int(order[r]))
+            _eliminate_modp(block[r + 1:], block[r], c, p)
+            r += 1
+    return len(pivots), piv_rows
 
 
-def nullspace_int(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
+def _eliminate_modp(block: np.ndarray, pivot_row: np.ndarray, c: int,
+                    p: int) -> None:
+    """Clear column c of ``block`` with ``pivot_row`` (1 at c, 0 left of c)."""
+    nz = np.nonzero(block[:, c])[0]
+    if nz.size:
+        sub = block[nz, c:]
+        block[nz, c:] = (sub - sub[:, :1] * pivot_row[c:]) % p
+
+
+def nullspace_int(rows: Sequence[Sequence[int]],
+                  ncols: int) -> list[list[Fraction]]:
     """Exact nullspace basis of an integer row system, deterministically.
 
     The basis is the canonical one of the reduced row echelon form: one
     vector per free column, with coefficient 1 on its free column and 0 on
     every other free column.  Above 4000 matrix entries a mod-p elimination
-    first selects candidate pivot rows; exact elimination then runs on those
-    rows only, and every remaining row is verified against the computed
-    basis by exact dot products (with a fallback insertion if verification
-    ever fails, so the result is exact regardless of p).
+    first selects candidate pivot rows; a full mod-p rank proves the
+    nullspace zero.  Otherwise exact elimination runs on those rows only,
+    and every remaining row is verified against the basis (integers over
+    one denominator) by integer dot products, with a fallback insertion if
+    verification ever fails, so the result is exact regardless of p.
     """
     work = [row for row in rows if any(row)]
     if len(work) * ncols > 4000:
-        _, piv = _modp_pivot_rows(work, ncols)
+        rank, piv = _modp_pivot_rows(work, ncols)
+        if rank == ncols:
+            return []
         piv_set = set(piv)
         selected = [work[i] for i in piv]
         rest = [work[i] for i in range(len(work)) if i not in piv_set]
@@ -511,14 +505,14 @@ def nullspace_int(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
         bad = None
         for row in rest:
             support = [j for j, v in enumerate(row) if v]
-            for vec in basis:
+            for vec, _ in basis:
                 if sum(row[j] * vec[j] for j in support):
                     bad = row
                     break
             if bad is not None:
                 break
         if bad is None:
-            return basis
+            return [[Fraction(v, denom) for v in vec] for vec, denom in basis]
         _echelon_insert(echelon, list(bad))
         rest = [r for r in rest if r is not bad]
 
@@ -541,8 +535,8 @@ def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
     for p in sorted(echelon):
         row = [Fraction(0)] * ncols
         row[p] = Fraction(1)
-        for f, vec in basis.items():
-            row[f] = -vec[p]
+        for f, (vec, denom) in basis.items():
+            row[f] = Fraction(-vec[p], denom)
         out.append(row)
     return out
 

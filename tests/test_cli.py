@@ -101,6 +101,13 @@ def test_express_reductions(capsys):
     assert tsv_rows(out) == [["0", "3,6,1,2", "1,1,8,2", "-57"]]
 
 
+def test_express_out_of_bounds_usage_error(capsys):
+    # weight 45 is past the solver bound: rejected before any work starts
+    code, out = run(capsys, "express", "--composition", "9,9,9,9,9")
+    assert code == 2
+    assert out == ""
+
+
 def test_period_dump(capsys):
     code, out = run(capsys, "period", "--weight", "12")
     assert code == 0

@@ -43,6 +43,52 @@ def test_depth4_label_families_match_display():
                                      (3, 1, 2, 4), (3, 1, 4, 2), (3, 4, 1, 2)]
 
 
+def partial_sum_expansion(m):
+    """prod_j (x_1 + ... + x_j)^{m_j}, multiplied out one factor at a time."""
+    acc = {(0,) * len(m): 1}
+    for j, mj in enumerate(m):
+        for _ in range(mj):
+            new = {}
+            for exps, coeff in acc.items():
+                for v in range(j + 1):
+                    key = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
+                    new[key] = new.get(key, 0) + coeff
+            acc = new
+    return acc
+
+
+def every_split_rows(N, r):
+    """Rows of both families for every split k = 1..r-1, relabelled term by
+    term, without using the split symmetry."""
+    monomials = monomial_basis(N, r)
+    rows = set()
+    for k in range(1, r):
+        seqs = _label_shuffles(k, r)
+        for family in ([{m: 1} for m in monomials],
+                       [partial_sum_expansion(m) for m in monomials]):
+            targets = {}
+            for j, terms in enumerate(family):
+                for seq in seqs:
+                    for exps, coeff in terms.items():
+                        out = [0] * r
+                        for i, e in enumerate(exps):
+                            out[seq[i] - 1] = e
+                        row = targets.setdefault(tuple(out), [0] * len(monomials))
+                        row[j] += coeff
+            rows.update(tuple(row) for row in targets.values() if any(row))
+    return rows
+
+
+def test_half_splits_give_every_split_row():
+    # splits k and r-k give the same rows, so only k <= r/2 is assembled
+    cells = [(N, r) for r in range(2, 5) for N in range(r, 15)]
+    cells += [(N, 5) for N in range(5, 12)]
+    for N, r in cells:
+        rows, _ = assemble_constraints(N, r)
+        assert len(set(rows)) == len(rows), (N, r)
+        assert set(rows) == every_split_rows(N, r), (N, r)
+
+
 def test_depth1_even_weight_full_rank():
     rows, monomials = assemble_constraints(4, 1)
     assert rank_bareiss(rows) == len(monomials)  # no solutions
@@ -86,6 +132,11 @@ def test_weight12_depth4():
 def test_depth4_dimensions_to_weight14():
     assert dimension(13, 4) == 0
     assert dimension(14, 4) == 1
+
+
+def test_solve_depth5_weight13_is_zero():
+    # full mod-p rank: the exact solver returns the empty basis directly
+    assert solve(13, 5).dimension == 0
 
 
 def test_invalid_cells_raise():

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleshuffle import exact_algebra
 from doubleshuffle.exact_algebra import (_PRIME, Poly, divexact,
@@ -223,6 +226,10 @@ def test_modular_rank_agrees_with_exact():
         cols = rng.randint(1, 7)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         assert rank_modular(mat, cols) == rank_bareiss(mat)
+    # past the first 64-row block, later rows add pivots left of earlier ones
+    mat = (low_rank_rows(rng, 70, 30, 8, first_col=20)
+           + low_rank_rows(rng, 70, 30, 12))
+    assert rank_modular(mat, 30) == rank_bareiss(mat) == 20
 
 
 def nullspace_from_rref(rows, ncols):
@@ -306,6 +313,38 @@ def test_nullspace_degenerate_prime_entries(monkeypatch):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     assert basis == nullspace_from_rref(rows, ncols)
+
+
+def test_nullspace_full_column_rank_short_circuit(monkeypatch):
+    # full mod-p rank proves the nullspace zero: no exact elimination at all
+    rows = low_rank_rows(random.Random(19), 90, 50, 50)
+    calls = count_kernel_calls(monkeypatch)
+    assert nullspace_int(rows, 50) == []
+    monkeypatch.undo()
+    assert calls["modp_ranks"] == [50]
+    assert calls["inserts"] == 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ncols=st.integers(41, 60),
+       rank=st.integers(0, 60), repeats=st.integers(0, 20),
+       prime_cols=st.lists(st.integers(0, 40), max_size=4))
+def test_nullspace_kernel_properties(seed, ncols, rank, repeats, prime_cols):
+    # above the threshold, with repeated rows and rows that vanish mod p
+    rng = random.Random(seed)
+    rows = low_rank_rows(rng, 4001 // ncols + 1, ncols, min(rank, ncols))
+    rows += [rng.choice(rows) for _ in range(repeats)]
+    for col in prime_cols:
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [_PRIME if j == col else 0 for j in range(ncols)])
+    basis = nullspace_int(rows, ncols)
+    assert basis == nullspace_from_rref(rows, ncols)
+    for vec in basis:
+        denom = lcm(*(x.denominator for x in vec))
+        scaled = [int(x * denom) for x in vec]
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, scaled)) == 0
+    assert rank_modular(rows, ncols) <= rank_bareiss(rows)
 
 
 def test_nullspace_deterministic_normal_form():
