@@ -93,14 +93,11 @@ def _partial_sum_matrix(degree: int, r: int, dtype) -> np.ndarray:
 
 def partial_sum_transform(f: Poly) -> Poly:
     """f(x_1, x_1 + x_2, ..., x_1 + ... + x_r): the change of variables
-    carrying the second family of constraints."""
-    r = f.arity
-    images = []
-    acc = Poly.zero(r)
-    for i in range(r):
-        acc = acc + Poly.variable(r, i)
-        images.append(acc)
-    return f.substitute(images)
+    carrying the second family of constraints, as the shifts
+    x_i -> x_i + x_{i-1} from the last variable down."""
+    for i in range(f.arity - 1, 0, -1):
+        f = f.shift(i, i - 1)
+    return f
 
 
 def assemble_constraints(N: int, r: int) -> tuple[list[tuple[int, ...]],

@@ -3,10 +3,11 @@ and one exact linear-algebra kernel on integer rows.
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (always in
 lowest terms, positive denominator).  A polynomial is a fixed-arity sparse
-map from exponent tuples to nonzero rational coefficients; the zero
-polynomial is the empty map.  The kernel takes integer rows and returns the
-canonical rational nullspace (``nullspace_int``, one vector per free column,
-found by back-substitution) and the reduced echelon form read off it
+map from exponent tuples to nonzero coefficients, each an ``int`` when it
+is integral and a ``Fraction`` otherwise; the zero polynomial is the empty
+map.  The kernel takes integer rows and returns the canonical rational
+nullspace (``nullspace_int``, one vector per free column, found by
+back-substitution) and the reduced echelon form read off it
 (``span_rref``); ranks come from fraction-free Bareiss elimination.  A
 modular fast path (single machine prime, numpy integer arithmetic) is used
 only to *select* pivot rows or to certify full column rank; every emitted
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,13 +30,14 @@ import numpy as np
 Rational = Fraction
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
 # Prime for the modular fast path.  Products of two reduced residues fit in
 # int64, so numpy arithmetic below is exact.
 _PRIME = 2147483647
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: Coeff) -> str:
     """Render p/q with the denominator omitted when it is 1."""
     if q.denominator == 1:
         return str(q.numerator)
@@ -43,6 +46,23 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
+
+
+def _coeff(value) -> Coeff:
+    """A rational as an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+def _settled(terms: dict) -> dict:
+    """Demote the integral Fractions among ``terms`` to ints, in place."""
+    if Fraction in set(map(type, terms.values())):
+        for exps, coeff in terms.items():
+            if coeff.denominator == 1:
+                terms[exps] = coeff.numerator
+    return terms
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -55,13 +75,15 @@ def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
 class Poly:
     """Sparse multivariate polynomial over the rationals with fixed arity.
 
-    ``terms`` maps exponent tuples (length == arity) to nonzero Fractions.
-    Instances are treated as immutable; all operations return new objects.
+    ``terms`` maps exponent tuples (length == arity) to nonzero
+    coefficients: ints when integral, Fractions with denominator > 1
+    otherwise.  Instances are treated as immutable; all operations return
+    new objects.
     """
 
     __slots__ = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: dict[Exponent, Fraction] | None = None,
+    def __init__(self, arity: int, terms: dict[Exponent, Coeff] | None = None,
                  _clean: bool = False):
         self.arity = arity
         if terms is None:
@@ -69,11 +91,11 @@ class Poly:
         elif _clean:
             self.terms = terms
         else:
-            clean: dict[Exponent, Fraction] = {}
+            clean: dict[Exponent, Coeff] = {}
             for exps, coeff in terms.items():
                 if len(exps) != arity:
                     raise ValueError(f"exponent {exps} has length != arity {arity}")
-                coeff = Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
                     clean[exps] = coeff
             self.terms = clean
@@ -86,7 +108,7 @@ class Poly:
 
     @staticmethod
     def constant(arity: int, value) -> Poly:
-        value = Fraction(value)
+        value = _coeff(value)
         if not value:
             return Poly.zero(arity)
         return Poly(arity, {(0,) * arity: value}, _clean=True)
@@ -97,19 +119,19 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
         exps = [0] * arity
         exps[index] = 1
-        return Poly(arity, {tuple(exps): Fraction(1)}, _clean=True)
+        return Poly(arity, {tuple(exps): 1}, _clean=True)
 
     @staticmethod
     def monomial(exps: Sequence[int], coeff=1) -> Poly:
-        return Poly(len(exps), {tuple(exps): Fraction(coeff)})
+        return Poly(len(exps), {tuple(exps): coeff})
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> Coeff:
+        return self.terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
@@ -150,48 +172,42 @@ class Poly:
     def __add__(self, other: Poly) -> Poly:
         self._check_arity(other)
         terms = dict(self.terms)
+        get = terms.get
         for exps, coeff in other.terms.items():
-            new = terms.get(exps, 0) + coeff
+            new = get(exps, 0) + coeff
             if new:
                 terms[exps] = new
             else:
-                terms.pop(exps, None)
-        return Poly(self.arity, terms, _clean=True)
+                del terms[exps]
+        return Poly(self.arity, _settled(terms), _clean=True)
 
     def __sub__(self, other: Poly) -> Poly:
-        self._check_arity(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = terms.get(exps, 0) - coeff
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        return Poly(self.arity, terms, _clean=True)
+        return self + -other
 
     def __neg__(self) -> Poly:
         return Poly(self.arity, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def scale(self, factor) -> Poly:
-        factor = Fraction(factor)
+        factor = _coeff(factor)
         if not factor:
             return Poly.zero(self.arity)
-        return Poly(self.arity, {e: c * factor for e, c in self.terms.items()},
+        return Poly(self.arity,
+                    _settled({e: c * factor for e, c in self.terms.items()}),
                     _clean=True)
 
     def __mul__(self, other: Poly) -> Poly:
         self._check_arity(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         get = out.get
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 new = get(key, 0) + ca * cb
                 if new:
                     out[key] = new
                 else:
-                    out.pop(key, None)
-        return Poly(self.arity, out, _clean=True)
+                    del out[key]
+        return Poly(self.arity, _settled(out), _clean=True)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -227,7 +243,7 @@ class Poly:
             out_arity = 0
         one = Poly.constant(out_arity, 1)
         power_cache: list[dict[int, Poly]] = [{0: one, 1: img} for img in images]
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             piece = one
             for i, e in enumerate(exps):
@@ -239,14 +255,34 @@ class Poly:
                 if new:
                     acc[pe] = new
                 else:
-                    acc.pop(pe, None)
-        return Poly(out_arity, acc, _clean=True)
+                    del acc[pe]
+        return Poly(out_arity, _settled(acc), _clean=True)
+
+    def shift(self, i: int, j: int, sign: int = 1) -> Poly:
+        """Substitute x_i -> x_i + sign * x_j (i != j), expanded binomially."""
+        if i == j or sign not in (1, -1):
+            raise ValueError("a shift needs two distinct variables and sign ±1")
+        out: dict[Exponent, Coeff] = {}
+        get = out.get
+        for exps, coeff in self.terms.items():
+            a, b = exps[i], exps[j]
+            new_exps = list(exps)
+            for k in range(a + 1):
+                new_exps[i] = a - k
+                new_exps[j] = b + k
+                key = tuple(new_exps)
+                new = get(key, 0) + coeff * comb(a, k) * sign ** k
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+        return Poly(self.arity, _settled(out), _clean=True)
 
     def permute_variables(self, target: Sequence[int]) -> Poly:
         """Rename variables: old position i becomes position target[i]."""
         if sorted(target) != list(range(self.arity)):
             raise ValueError("target is not a permutation")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             new = [0] * self.arity
             for i, e in enumerate(exps):
@@ -265,18 +301,18 @@ class Poly:
 
     def partial(self, index: int) -> Poly:
         """Partial derivative with respect to variable ``index``."""
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
             if e == 0:
                 continue
             new = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[new] = out.get(new, Fraction(0)) + coeff * e
+            out[new] = out.get(new, 0) + coeff * e
         return Poly(self.arity, out)
 
     # -- ordering and serialization ------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in graded-lexicographic order (canonical iteration order)."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
@@ -288,7 +324,7 @@ class Poly:
 
     @staticmethod
     def parse(text: str, arity: int) -> Poly:
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coeff] = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -333,15 +369,15 @@ def divexact(p: Poly, q: Poly) -> Poly:
     p._check_arity(q)
     lead_exp, lead_coeff = max(q.terms.items(), key=lambda item: grlex_key(item[0]))
     remainder = p
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, Coeff] = {}
     while not remainder.is_zero():
         rexp, rcoeff = max(remainder.terms.items(),
                            key=lambda item: grlex_key(item[0]))
         diff = tuple(a - b for a, b in zip(rexp, lead_exp))
         if any(d < 0 for d in diff):
             raise ValueError("not divisible")
-        factor = rcoeff / lead_coeff
-        quotient[diff] = quotient.get(diff, Fraction(0)) + factor
+        factor = Fraction(rcoeff, lead_coeff)
+        quotient[diff] = quotient.get(diff, 0) + factor
         remainder = remainder - q * Poly.monomial(diff, factor)
     return Poly(p.arity, quotient)
 

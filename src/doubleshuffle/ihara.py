@@ -12,12 +12,11 @@ also live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from operator import add
 
-from .exact_algebra import Poly
-from .words import restrict_y0, translation_lift
+from .exact_algebra import Coeff, Poly, _settled
+from .words import CACHE_SIZE, restrict_y0, translation_lift
 
 
 @dataclass(frozen=True)
@@ -93,59 +92,42 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
     if not F.is_homogeneous():
         raise ValueError("left factor must be homogeneous")
     sign = -1 if (F.homogeneous_degree() + r) % 2 else 1
-    n = r + s + 1
-    out: dict[tuple[int, ...], Fraction] = {}
-
-    def add(exps: list[int], coeff) -> None:
-        key = tuple(exps)
-        new = out.get(key, 0) + coeff
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-
-    # integer coefficients dominate in practice; plain ints are much faster
-    # than Fractions in the accumulation loop and convert exactly at the end
-    all_int = (all(c.denominator == 1 for c in F.terms.values())
-               and all(c.denominator == 1 for c in G.terms.values()))
-    if all_int:
-        fterms = [(e, int(c)) for e, c in F.terms.items()]
-        gterms = [(e, int(c)) for e, c in G.terms.items()]
-    else:
-        fterms = list(F.terms.items())
-        gterms = list(G.terms.items())
+    fterms = F.terms.items()
+    gterms = G.terms.items()
+    pad = (0,) * r
+    placements = []
     for i in range(s + 1):
         # forward: F at y_i..y_{i+r}, G at y_0..y_i then y_{i+r+1}..y_{r+s}
-        for ea, ca in fterms:
-            for eb, cb in gterms:
-                exps = [0] * n
-                for j in range(r + 1):
-                    exps[i + j] += ea[j]
-                for j in range(i + 1):
-                    exps[j] += eb[j]
-                for j in range(i + 1, s + 1):
-                    exps[j + r] += eb[j]
-                add(exps, ca * cb)
+        placements.append(
+            ([((0,) * i + ea + (0,) * (s - i), ca) for ea, ca in fterms],
+             [(eb[:i + 1] + pad + eb[i + 1:], cb) for eb, cb in gterms]))
     for i in range(1, s + 1):
         # reversed: F at y_{i+r}..y_i, G at y_0..y_{i-1} then y_{i+r}..y_{r+s}
-        for ea, ca in fterms:
-            for eb, cb in gterms:
-                exps = [0] * n
-                for j in range(r + 1):
-                    exps[i + r - j] += ea[j]
-                for j in range(i):
-                    exps[j] += eb[j]
-                for j in range(i, s + 1):
-                    exps[j + r] += eb[j]
-                add(exps, sign * ca * cb)
-    if all_int:
-        return Poly(n, {k: Fraction(v) for k, v in out.items()}, _clean=True)
-    return Poly(n, out, _clean=True)
+        placements.append(
+            ([((0,) * i + ea[::-1] + (0,) * (s - i), sign * ca)
+              for ea, ca in fterms],
+             [(eb[:i] + pad + eb[i:], cb) for eb, cb in gterms]))
+    out: dict[tuple[int, ...], Coeff] = {}
+    get = out.get
+    for fplaced, gplaced in placements:
+        for ea, ca in fplaced:
+            for eb, cb in gplaced:
+                key = tuple(map(add, ea, eb))
+                new = get(key, 0) + ca * cb
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+    return Poly(r + s + 1, _settled(out), _clean=True)
 
 
 def poly_compose(f: DepthPoly, g: DepthPoly) -> DepthPoly:
-    """Composition of reduced representatives; weight and depth add."""
-    composed = compose_lifted(f.lift(), g.lift())
+    """Composition of reduced representatives; weight and depth add.
+
+    G's first variable always lands on y_0, so the terms of g.lift() that
+    carry y_0 vanish under restrict_y0; the rest is g.body moved up a slot.
+    """
+    composed = compose_lifted(f.lift(), g.body.embed(g.depth + 1, 1))
     return DepthPoly(f.depth + g.depth, f.weight + g.weight,
                      restrict_y0(composed))
 
@@ -228,7 +210,7 @@ def in_dihedral_space(f: DepthPoly) -> bool:
     neg = [Poly.variable(r, i).scale(-1) for i in range(r)]
     if body.substitute(neg) != body:
         return False
-    sign = Fraction(-1 if r % 2 else 1)
+    sign = -1 if r % 2 else 1
     reversed_body = body.permute_variables(list(range(r - 1, -1, -1)))
     if body + reversed_body.scale(sign) != Poly.zero(r):
         return False
@@ -243,23 +225,13 @@ def in_dihedral_space(f: DepthPoly) -> bool:
 # Depth-1 action in closed form
 # ---------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _difference_power(arity: int, a: int, b: int | None, m: int) -> Poly:
     """(x_a - x_b)^m with variables 1-indexed; b None means x_b = 0."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    if b is None:
-        e = [0] * arity
-        e[a - 1] = m
-        terms[tuple(e)] = Fraction(1)
-        return Poly(arity, terms, _clean=True)
-    for k in range(m + 1):
-        e = [0] * arity
-        e[a - 1] += m - k
-        e[b - 1] += k
-        key = tuple(e)
-        coeff = Fraction(comb(m, k) * (-1) ** k)
-        terms[key] = terms.get(key, 0) + coeff
-    return Poly(arity, terms)
+    e = [0] * arity
+    e[a - 1] = m
+    power = Poly.monomial(e)
+    return power if b is None else power.shift(a - 1, b - 1, -1)
 
 
 def depth1_action(n: int, g: DepthPoly) -> DepthPoly:

@@ -14,7 +14,6 @@ elements are assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .exact_algebra import Poly, divexact, grlex_key, nullspace_int
@@ -153,12 +152,12 @@ def primitive_integral(P: Poly) -> Poly:
     lead = max(ints, key=grlex_key)
     if ints[lead] < 0:
         g = -g
-    return Poly(2, {e: Fraction(v // g) for e, v in ints.items()})
+    return Poly(2, {e: v // g for e, v in ints.items()}, _clean=True)
 
 
 def _bracket_pair(a: int, b: int) -> Poly:
     """x1^a x2^b - x1^b x2^a."""
-    return Poly(2, {(a, b): Fraction(1), (b, a): Fraction(-1)})
+    return Poly(2, {(a, b): 1, (b, a): -1})
 
 
 def integral_generators() -> dict[int, PeriodPolynomial]:

@@ -23,6 +23,7 @@ BINARY = "binary"
 INDEX = "index"
 
 Word = tuple[int, ...]
+CACHE_SIZE = 1 << 14  # bound of the lru_caches; no workload comes near it
 
 
 def weight(word: Word, alphabet: str = BINARY) -> int:
@@ -127,7 +128,7 @@ class WordSum:
 # Shuffle and stuffle
 # ---------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _shuffle_words(w: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     if not w:
         return ((v, 1),)
@@ -162,7 +163,7 @@ def shuffle(w, v, alphabet: str = BINARY) -> WordSum:
                               for word, mult in _shuffle_words(tuple(w), tuple(v))})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     if not u:
         return ((v, 1),)
@@ -261,23 +262,16 @@ def restrict_y0(f: Poly) -> Poly:
     if f.arity == 0:
         raise ValueError("no variable to restrict")
     out = {exps[1:]: coeff for exps, coeff in f.terms.items() if exps[0] == 0}
-    return Poly(f.arity - 1, out)
+    return Poly(f.arity - 1, out, _clean=True)
 
 
 def translation_lift(f: Poly) -> Poly:
     """Lift x_i -> y_i - y_0; the unique translation-invariant preimage of
     the restriction above."""
-    r = f.arity
-    images = [Poly(r + 1, {_unit_exp(r + 1, i + 1): Fraction(1),
-                           _unit_exp(r + 1, 0): Fraction(-1)})
-              for i in range(r)]
-    return f.substitute(images) if r else Poly(1, {(0,): c for _, c in f.terms.items()})
-
-
-def _unit_exp(arity: int, index: int) -> tuple[int, ...]:
-    e = [0] * arity
-    e[index] = 1
-    return tuple(e)
+    lifted = f.embed(f.arity + 1, 1)
+    for i in range(1, f.arity + 1):
+        lifted = lifted.shift(i, 0, -1)
+    return lifted
 
 
 def is_translation_invariant(f: Poly) -> bool:
@@ -328,7 +322,7 @@ def _star(word: Word) -> tuple[Word, int]:
     return word[::-1], (-1) ** len(word)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _compose_words(a: Word, g: Word) -> tuple[tuple[Word, int], ...]:
     # a acting on g: inserting a (and its signed reversal) around each 1 of g,
     # with the base rule a . 0^n = 0^n a.

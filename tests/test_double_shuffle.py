@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from doubleshuffle.double_shuffle import (_label_shuffles,
                                           assemble_constraints, dimension,
@@ -12,8 +13,13 @@ from doubleshuffle.double_shuffle import (_label_shuffles,
                                           solve_words)
 from doubleshuffle.exact_algebra import (Poly, nullspace_int, rank_bareiss,
                                          span_rref)
-from doubleshuffle.ihara import DepthPoly, bracket, depth1_generator, in_dihedral_space
+from doubleshuffle.exceptional import exceptional_elements
+from doubleshuffle.ihara import (DepthPoly, bracket, depth1_generator,
+                                 in_dihedral_space, poly_compose)
 from doubleshuffle.period_poly import cusp_dimension
+from doubleshuffle.words import translation_lift
+from poly_helpers import (EXCEPTIONAL_WEIGHTS, exceptional_body, is_settled,
+                          polys)
 
 
 def vectors_of(polys, N, r):
@@ -103,6 +109,43 @@ def test_depth2_solution_structure():
     assert (f + f.permute_variables([1, 0])).is_zero()
     sharp = partial_sum_transform(f)
     assert (sharp + sharp.permute_variables([1, 0])).is_zero()
+
+
+def psum_by_substitution(f):
+    """The partial-sum transform as the generic substitution
+    x_i -> x_1 + ... + x_i."""
+    images = [Poly.variable(f.arity, 0)]
+    for i in range(1, f.arity):
+        images.append(images[-1] + Poly.variable(f.arity, i))
+    return f.substitute(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=polys(max_arity=5))
+def test_partial_sum_transform_matches_substitution(f):
+    sharp = partial_sum_transform(f)
+    assert sharp == psum_by_substitution(f)
+    assert is_settled(sharp)
+
+
+@pytest.mark.parametrize("weight", EXCEPTIONAL_WEIGHTS)
+def test_partial_sum_transform_of_exceptional_bodies(weight):
+    body = exceptional_body(weight)
+    assert partial_sum_transform(body) == psum_by_substitution(body)
+
+
+def test_bracket_path_avoids_generic_substitution(monkeypatch):
+    # membership, the lift and the composition use binomial shifts only
+    [e12] = exceptional_elements(12)
+    [e16] = exceptional_elements(16)
+
+    def forbidden(self, images):
+        raise AssertionError("generic Poly.substitute reached")
+
+    monkeypatch.setattr(Poly, "substitute", forbidden)
+    assert membership_test(e16.reduced)
+    assert translation_lift(e12.reduced.body).arity == 5
+    assert len(poly_compose(e12.reduced, e12.reduced).body) > 0
 
 
 def test_nullspace_weight12_depth2():

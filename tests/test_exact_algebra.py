@@ -13,6 +13,7 @@ from doubleshuffle.exact_algebra import (_PRIME, Poly, divexact,
                                          format_rational, grlex_key,
                                          nullspace_int, parse_rational,
                                          rank_bareiss, rank_modular, span_rref)
+from poly_helpers import is_integral, is_settled, polys
 
 
 def random_poly(rng, arity, max_deg=3, max_terms=4):
@@ -88,6 +89,32 @@ def test_ring_laws_randomized():
         assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), arity=st.integers(1, 4))
+def test_ring_axioms_mixed_coefficients(data, arity):
+    a, b, c = (data.draw(polys(arity=arity)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + -a).is_zero() and (a - a).is_zero()
+    half = a.scale(Fraction(1, 2))
+    assert half.scale(2) == a
+    for p in (a, b - c, a * b * c, a * (b + c), half, half.scale(2)):
+        assert is_settled(p)
+
+
+def test_integral_coefficients_are_ints():
+    # integral values become ints wherever they enter or are produced
+    half = Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(4, 2)})
+    assert is_settled(half) and type(half.coefficient((0, 1))) is int
+    assert is_integral(half.scale(2)) and is_integral(half + half)
+    assert is_integral(half * Poly.constant(2, Fraction(6, 3)).scale(2))
+    assert is_integral(Poly.monomial((2, 1), Fraction(3)))
+    assert is_integral(Poly.constant(1, Fraction(-8, 4)) + Poly.variable(1, 0))
+    assert is_integral(Poly.parse("1,0 : 6/3\n0,1 : -1", 2))
+    assert half.coefficient((5, 5)) == 0
+
+
 def test_scale_and_neg():
     p = Poly(2, {(1, 0): 3, (0, 2): -2})
     assert p.scale(Fraction(1, 3)) == Poly(2, {(1, 0): 1, (0, 2): Fraction(-2, 3)})
@@ -150,6 +177,29 @@ def test_substitute_f1_summand_against_naive_oracle():
     fast = f1.substitute([x[3] - x[2], x[1] - x[0]])
     slow = naive_binomial_substitution(f1, (3, 2), (1, 0), 4)
     assert fast == slow
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), sign=st.sampled_from((1, -1)))
+def test_shift_matches_substitute(data, sign):
+    f = data.draw(polys(max_arity=5, max_deg=4))
+    if f.arity < 2:
+        f = f.embed(2)
+    i, j = data.draw(st.permutations(range(f.arity)))[:2]
+    x = [Poly.variable(f.arity, k) for k in range(f.arity)]
+    images = list(x)
+    images[i] = x[i] + x[j].scale(sign)
+    shifted = f.shift(i, j, sign)
+    assert shifted == f.substitute(images)
+    assert is_settled(shifted)
+
+
+def test_shift_rejects_bad_arguments():
+    f = Poly.variable(2, 0)
+    with pytest.raises(ValueError):
+        f.shift(0, 0)
+    with pytest.raises(ValueError):
+        f.shift(0, 1, 2)
 
 
 def test_substitute_arity_mismatch():

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from doubleshuffle.double_shuffle import partial_sum_transform, solve
 from doubleshuffle.exact_algebra import Poly
-from doubleshuffle.ihara import (UNIT, DepthPoly, bracket,
+from doubleshuffle.exceptional import exceptional_elements
+from doubleshuffle.ihara import (UNIT, DepthPoly, bracket, compose_lifted,
                                  depth1_action, depth1_generator, dihedral,
                                  dihedral_average_bracket, in_dihedral_space,
                                  poly_compose)
+from doubleshuffle.period_poly import integral_generators, primitive_integral
+from doubleshuffle.words import restrict_y0
+from poly_helpers import is_integral, is_settled
 
 
 def x_power(n):
@@ -52,6 +57,39 @@ def test_compose_coefficient_example():
     # coefficient of x1^2 x2^2 in x1^2 o x1^2
     composed = poly_compose(x_power(1), x_power(1))
     assert composed.body.coefficient((2, 2)) == 1
+
+
+@pytest.fixture(scope="module")
+def compose_pool():
+    """Depth-1 generators, e12, and the solve(8, 2) and solve(12, 4) bases;
+    the solve(8, 2) element has non-integral coefficients."""
+    pool = [depth1_generator(w) for w in (3, 5, 7, 9)]
+    pool += [e.reduced for e in exceptional_elements(12)]
+    pool += solve(8, 2).basis + solve(12, 4).basis
+    assert not is_integral(solve(8, 2).basis[0].body)
+    return pool
+
+
+def test_compose_restricted_matches_full_lift(compose_pool):
+    # poly_compose feeds only the y_0-free part of g.lift() to compose_lifted
+    for f in compose_pool:
+        for g in compose_pool:
+            full = restrict_y0(compose_lifted(f.lift(), g.lift()))
+            composed = poly_compose(f, g).body
+            assert composed == full
+            assert is_settled(composed)
+
+
+def test_integral_results_have_int_coefficients():
+    [e12] = exceptional_elements(12)
+    body = e12.reduced.body
+    g5 = depth1_generator(5)
+    assert is_integral(body) and is_integral(e12.reduced.lift())
+    assert is_integral(depth1_action(2, bracket(depth1_generator(3), g5)).body)
+    assert is_integral(compose_lifted(g5.lift(), e12.reduced.lift()))
+    assert is_integral(partial_sum_transform(body))
+    for pp in integral_generators().values():
+        assert is_integral(primitive_integral(pp.P.scale(Fraction(3, 7))))
 
 
 def test_weight_depth_additivity():

@@ -4,6 +4,10 @@ coaction component."""
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+
+from doubleshuffle import ihara, words
 from doubleshuffle.exact_algebra import Poly
 from doubleshuffle.words import (BINARY, INDEX, WordSum, coaction_component,
                                  depth, exponents_to_word,
@@ -13,6 +17,8 @@ from doubleshuffle.words import (BINARY, INDEX, WordSum, coaction_component,
                                  to_index_sum, to_index_word, translation_lift,
                                  weight, word_compose, word_exponents,
                                  word_to_str)
+from poly_helpers import (EXCEPTIONAL_WEIGHTS, exceptional_body, is_settled,
+                          polys)
 
 
 def random_word(rng, alphabet, max_len=4):
@@ -153,6 +159,32 @@ def test_translation_lift_round_trip_random():
         lifted = translation_lift(f)
         assert restrict_y0(lifted) == f
         assert is_translation_invariant(lifted)
+
+
+def lift_by_substitution(f):
+    """The lift as the generic substitution x_i -> y_i - y_0."""
+    y = [Poly.variable(f.arity + 1, i) for i in range(f.arity + 1)]
+    return f.substitute([v - y[0] for v in y[1:]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=polys(max_arity=5))
+def test_translation_lift_matches_substitution(f):
+    lifted = translation_lift(f)
+    assert lifted == lift_by_substitution(f)
+    assert is_settled(lifted)
+
+
+@pytest.mark.parametrize("weight", EXCEPTIONAL_WEIGHTS)
+def test_translation_lift_of_exceptional_bodies(weight):
+    body = exceptional_body(weight)
+    assert translation_lift(body) == lift_by_substitution(body)
+
+
+def test_lru_caches_are_bounded():
+    for cached in (words._shuffle_words, words._stuffle_words,
+                   words._compose_words, ihara._difference_power):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_index_word_projection():
