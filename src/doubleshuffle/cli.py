@@ -29,7 +29,7 @@ from .series import bk_series, eos, hoffman_dims, pbw
 MAX_WEIGHT_BOUND = 20
 MAX_DEPTH_BOUND = 5
 MAX_ODD_WEIGHT_BOUND = 31     # composition matrices stay tiny this far
-MAX_SERIES_WEIGHT_BOUND = 40  # truncation ceiling for series-only checks
+MAX_SERIES_WEIGHT_BOUND = 40  # series truncation; period and exceptional weights
 
 
 class UsageError(Exception):
@@ -103,8 +103,8 @@ def cmd_span(args) -> int:
 
 def cmd_exceptional(args) -> int:
     twoN = args.weight
-    if twoN < 12 or twoN % 2:
-        raise UsageError("weight must be even and >= 12")
+    if not 12 <= twoN <= MAX_SERIES_WEIGHT_BOUND or twoN % 2:
+        raise UsageError(f"weight must be even and in 12..{MAX_SERIES_WEIGHT_BOUND}")
     if cusp_dimension(twoN) == 0:
         print(f"dim S = 0 at weight {twoN}: no exceptional elements",
               file=sys.stderr)
@@ -264,8 +264,8 @@ def cmd_express(args) -> int:
 
 def cmd_period(args) -> int:
     twoN = args.weight
-    if twoN < 4 or twoN % 2:
-        raise UsageError("weight must be even and >= 4")
+    if not 4 <= twoN <= MAX_SERIES_WEIGHT_BOUND or twoN % 2:
+        raise UsageError(f"weight must be even and in 4..{MAX_SERIES_WEIGHT_BOUND}")
     elements = basis_S(twoN)
     if not elements:
         print(f"dim S = 0 at weight {twoN}", file=sys.stderr)
@@ -282,6 +282,9 @@ def cmd_period(args) -> int:
 
 def cmd_series(args) -> int:
     kind = args.kind
+    if not (0 <= args.max_s <= MAX_SERIES_WEIGHT_BOUND and 0 <= args.max_t <= 8):
+        raise UsageError(f"max-s must be in 0..{MAX_SERIES_WEIGHT_BOUND} "
+                         "and max-t in 0..8")
     if kind in ("full", "ls", "odd"):
         series = bk_series(kind, args.max_s, args.max_t)
     else:

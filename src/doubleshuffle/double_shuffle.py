@@ -30,6 +30,7 @@ from operator import itemgetter
 
 import numpy as np
 
+# full_rank_certificate is unused here but perfbench/spans.py wraps this name
 from .exact_algebra import (Poly, full_rank_certificate, nullspace_int,
                             span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
@@ -65,32 +66,6 @@ def _label_shuffles(k: int, r: int) -> list[tuple[int, ...]]:
     return [word for word, _ in _shuffle_words(left, right)]
 
 
-def _partial_sum_matrix(degree: int, r: int, dtype) -> np.ndarray:
-    """Integer matrix of f -> f(x_1, x_1 + x_2, ...) on the
-    degree-``degree`` monomials in r variables, in ``monomial_basis`` order:
-    column b is the expansion of prod_j (x_1 + ... + x_j)^{b_j}.
-
-    Built degree by degree: the monomial b whose last variable is x_i is
-    x_i times a monomial c of one degree lower, so its column is column c
-    multiplied by x_1 + ... + x_i.
-    """
-    lower = {(0,) * r: 0}
-    mat = np.ones((1, 1), dtype=dtype)
-    for d in range(1, degree + 1):
-        index = {m: j for j, m in enumerate(monomial_basis(d + r, r))}
-        # times_x[v][c]: index of x_v times the lower monomial c
-        times_x = [[index[c[:v] + (c[v] + 1,) + c[v + 1:]] for c in lower]
-                   for v in range(r)]
-        new = np.zeros((len(index), len(index)), dtype=dtype)
-        for m, b in index.items():
-            i = max(v for v in range(r) if m[v])
-            column = mat[:, lower[m[:i] + (m[i] - 1,) + m[i + 1:]]]
-            for v in range(i + 1):
-                new[times_x[v], b] += column
-        lower, mat = index, new
-    return mat
-
-
 def partial_sum_transform(f: Poly) -> Poly:
     """f(x_1, x_1 + x_2, ..., x_1 + ... + x_r): the change of variables
     carrying the second family of constraints, as the shifts
@@ -116,8 +91,12 @@ def assemble_constraints(N: int, r: int) -> tuple[list[tuple[int, ...]],
     # an expansion coefficient is at most r^(N-r) (set every x_j = 1), and a
     # row entry sums at most comb(r, r // 2) of them
     dtype = np.int64 if r ** (N - r) * comb(r, r // 2) < 2 ** 63 else object
-    # column j: the monomial j itself, and its partial-sum expansion
-    bases = (np.eye(ncols, dtype=dtype), _partial_sum_matrix(N - r, r, dtype))
+    # column j: the monomial j itself, and its partial-sum transform
+    psum = np.zeros((ncols, ncols), dtype=dtype)
+    for j, m in enumerate(monomials):
+        for exps, c in partial_sum_transform(Poly.monomial(m)).terms.items():
+            psum[index[exps], j] = c
+    bases = (np.eye(ncols, dtype=dtype), psum)
     rows: dict[tuple[int, ...], None] = {}
     for k in range(1, r // 2 + 1):
         # row t of a family sums, over the shuffles seq, the base row of the
@@ -144,13 +123,10 @@ def solve(N: int, r: int) -> SolutionSpace:
 
 
 def dimension(N: int, r: int) -> int:
-    """dim of the solution space; certifies zero via a modular full-rank
-    check (a rank lower bound) before falling back to the exact solver."""
+    """dim of the solution space (zero is certified by the mod-p rank inside
+    ``nullspace_int``)."""
     rows, monomials = assemble_constraints(N, r)
-    ncols = len(monomials)
-    if rows and full_rank_certificate(rows, ncols):
-        return 0
-    return len(nullspace_int(rows, ncols))
+    return len(nullspace_int(rows, len(monomials)))
 
 
 def membership_test(f: DepthPoly) -> bool:

@@ -34,9 +34,8 @@ class DepthPoly:
     def __post_init__(self):
         if self.body.arity != self.depth:
             raise ValueError("body arity must equal depth")
-        if not self.body.is_homogeneous():
-            raise ValueError("body must be homogeneous")
-        if self.body and self.body.homogeneous_degree() != self.weight - self.depth:
+        degree = self.body.homogeneous_degree()  # raises if not homogeneous
+        if self.body and degree != self.weight - self.depth:
             raise ValueError("degree != weight - depth")
 
     @staticmethod
@@ -89,8 +88,6 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
     s = G.arity - 1
     if r < 0 or s < 0:
         raise ValueError("lifted polynomials need arity >= 1")
-    if not F.is_homogeneous():
-        raise ValueError("left factor must be homogeneous")
     sign = -1 if (F.homogeneous_degree() + r) % 2 else 1
     fterms = F.terms.items()
     gterms = G.terms.items()
@@ -157,8 +154,6 @@ def dihedral(op: str, f: Poly) -> Poly:
     cycle: (-1)^deg f(y_r, y_0..y_{r-1}) (the signed rotation of order r+1
     on even-degree polynomials).
     """
-    if not f.is_homogeneous():
-        raise ValueError("dihedral operators act on homogeneous polynomials")
     r = f.arity - 1
     deg = f.homogeneous_degree()
     if op == "sigma":

@@ -78,13 +78,9 @@ def _condition_rows(twoN: int, cuspidal: bool) -> tuple[list[list[int]], list[tu
             rows.append(row)
 
     # three-term relation, one row per target monomial
-    X = Poly.variable(2, 0)
-    Y = Poly.variable(2, 1)
     family: dict[tuple[int, int], dict[int, int]] = {}
     for (a, b), j in col_of.items():
-        mono = Poly.monomial((a, b))
-        image = (mono + mono.substitute([X - Y, X])
-                 + mono.substitute([Y.scale(-1), X - Y]))
+        image = _three_term(Poly.monomial((a, b)))
         for exps, coeff in image.terms.items():
             assert coeff.denominator == 1
             slot = family.setdefault(exps, {})

@@ -108,6 +108,16 @@ def test_express_out_of_bounds_usage_error(capsys):
     assert out == ""
 
 
+def test_unbounded_weights_usage_error(capsys):
+    # past MAX_SERIES_WEIGHT_BOUND: rejected before any work starts
+    for argv in (["period", "--weight", "4000"],
+                 ["exceptional", "--weight", "4000"],
+                 ["series", "--max-s", "100000"]):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+
+
 def test_period_dump(capsys):
     code, out = run(capsys, "period", "--weight", "12")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from doubleshuffle import exact_algebra
 from doubleshuffle.double_shuffle import (_label_shuffles,
                                           assemble_constraints, dimension,
                                           iterated_bracket_span,
@@ -89,6 +90,8 @@ def test_half_splits_give_every_split_row():
     # splits k and r-k give the same rows, so only k <= r/2 is assembled
     cells = [(N, r) for r in range(2, 5) for N in range(r, 15)]
     cells += [(N, 5) for N in range(5, 12)]
+    # r = 2 assembles in int64 up to N = 63 and in the object dtype from N = 64
+    cells += [(63, 2), (64, 2), (70, 2)]
     for N, r in cells:
         rows, _ = assemble_constraints(N, r)
         assert len(set(rows)) == len(rows), (N, r)
@@ -175,6 +178,23 @@ def test_weight12_depth4():
 def test_depth4_dimensions_to_weight14():
     assert dimension(13, 4) == 0
     assert dimension(14, 4) == 1
+
+
+def test_dimension_makes_one_modp_pass(monkeypatch):
+    # the mod-p pass inside nullspace_int both certifies zero and selects the
+    # pivot rows, so no cell runs it twice
+    calls = []
+    modp = exact_algebra._modp_pivot_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return modp(*args, **kwargs)
+
+    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted)
+    for N, r, dim in [(14, 4, 1), (13, 5, 0)]:
+        calls.clear()
+        assert dimension(N, r) == dim
+        assert calls == [len(monomial_basis(N, r))], (N, r)
 
 
 def test_solve_depth5_weight13_is_zero():
