@@ -7,13 +7,15 @@ Output is TSV (tab separators, LF line endings) or JSON with the schema
 {"command": ..., "params": ..., "rows": [...]}.
 
 Exit codes: 0 success / all cells match; 1 empty domain or failed check;
-2 usage error; 3 internal assertion failure.
+2 usage error (anything wrong in argv, found before the work starts);
+3 internal fault (a failed assertion or a ValueError from the library).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -30,13 +32,10 @@ MAX_WEIGHT_BOUND = 20
 MAX_DEPTH_BOUND = 5
 MAX_ODD_WEIGHT_BOUND = 31     # composition matrices stay tiny this far
 MAX_SERIES_WEIGHT_BOUND = 40  # series truncation; period and exceptional weights
+MAX_BRACKET_DEPTH = 8         # a generator counts 1, an exceptional e<w> 4
 
 
 class UsageError(Exception):
-    pass
-
-
-class DomainEmpty(Exception):
     pass
 
 
@@ -174,55 +173,64 @@ def cmd_bk_check(args) -> int:
     return 0 if all(row[-1] == "ok" for row in rows) else 1
 
 
+# at most 9 digits per number, far past every bound, so int() never fails
+_BRACKET_TOKEN = re.compile(r"[{},]|e(\d{1,9})(?:\[(\d{1,9})\])?|(\d{1,9})")
+
+
 def _parse_bracket_expr(text: str):
+    """Parse a bracket expression into a tree of ("{", left, right),
+    ("g", weight) and ("e", weight, index) nodes, without recursion.
+
+    Every leaf, the depth and the syntax are checked before anything is
+    evaluated.
+    """
     text = "".join(text.split())
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(text):
-            raise UsageError("unexpected end of bracket expression")
-        if text[pos] == "{":
-            pos += 1
-            left = parse()
-            if pos >= len(text) or text[pos] != ",":
-                raise UsageError("expected ',' in bracket expression")
-            pos += 1
-            right = parse()
-            if pos >= len(text) or text[pos] != "}":
-                raise UsageError("expected '}' in bracket expression")
-            pos += 1
-            return bracket(left, right)
-        if text[pos] == "e":
-            pos += 1
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            twoN = int(text[start:pos])
-            index = 0
-            if pos < len(text) and text[pos] == "[":
-                close = text.index("]", pos)
-                index = int(text[pos + 1:close])
-                pos = close + 1
-            elements = exceptional_elements(twoN, "auto")
-            if index >= len(elements):
-                raise UsageError(f"no exceptional element e{twoN}[{index}]")
-            return elements[index].reduced
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
+    stack: list = []  # "{", "," and finished nodes
+    depth = pos = 0
+    while pos < len(text):
+        match = _BRACKET_TOKEN.match(text, pos)
+        if match is None:
             raise UsageError(f"cannot parse bracket expression at {text[pos:]!r}")
-        return depth1_generator(int(text[start:pos]))
+        pos = match.end()
+        twoN, index, gen = match.groups()
+        if twoN is not None:
+            if int(twoN) % 2 or not 12 <= int(twoN) <= MAX_SERIES_WEIGHT_BOUND:
+                raise UsageError(f"e<w> needs an even w in 12..{MAX_SERIES_WEIGHT_BOUND}")
+            stack.append(("e", int(twoN), int(index or 0)))
+            depth += 4
+        elif gen is not None:
+            if int(gen) < 3 or int(gen) % 2 == 0:
+                raise UsageError(f"generator {gen} is not odd and >= 3")
+            stack.append(("g", int(gen)))
+            depth += 1
+        elif match.group() != "}":
+            stack.append(match.group())
+        elif (len(stack) >= 4 and stack[-4] == "{" and stack[-2] == ","
+              and isinstance(stack[-3], tuple) and isinstance(stack[-1], tuple)):
+            stack[-4:] = [("{", stack[-3], stack[-1])]
+        else:
+            raise UsageError("unbalanced bracket expression")
+    if depth > MAX_BRACKET_DEPTH:
+        raise UsageError(f"bracket expression depth exceeds {MAX_BRACKET_DEPTH}")
+    if len(stack) != 1 or not isinstance(stack[0], tuple):
+        raise UsageError("unbalanced bracket expression")
+    return stack[0]
 
-    result = parse()
-    if pos != len(text):
-        raise UsageError(f"trailing input in bracket expression: {text[pos:]!r}")
-    return result
+
+def _evaluate_bracket(node) -> DepthPoly:
+    if node[0] == "{":
+        return bracket(_evaluate_bracket(node[1]), _evaluate_bracket(node[2]))
+    if node[0] == "g":
+        return depth1_generator(node[1])
+    _, twoN, index = node
+    elements = exceptional_elements(twoN, "auto")
+    if index >= len(elements):
+        raise UsageError(f"no exceptional element e{twoN}[{index}]")
+    return elements[index].reduced
 
 
 def cmd_bracket(args) -> int:
-    element: DepthPoly = _parse_bracket_expr(args.expr)
+    element = _evaluate_bracket(_parse_bracket_expr(args.expr))
     rows = [[",".join(map(str, exps)), format_rational(coeff)]
             for exps, coeff in element.body.sorted_terms()]
     _emit(args, "bracket",
@@ -234,9 +242,21 @@ def cmd_bracket(args) -> int:
     return 0 if rows else 1
 
 
+def _parse_composition(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*\d{1,9}\s*", part) and int(part) > 0
+               for part in parts):
+        raise UsageError(f"{text!r} is not a comma-separated list of positive integers")
+    return tuple(map(int, parts))
+
+
 def cmd_express(args) -> int:
-    composition = tuple(int(x) for x in args.composition.split(","))
+    composition = _parse_composition(args.composition)
     _check_bounds(sum(composition), len(composition))
+    if args.relative_to:
+        reference = _parse_composition(args.relative_to)
+        if (sum(reference), len(reference)) != (sum(composition), len(composition)):
+            raise UsageError("--relative-to needs the weight and length of --composition")
     space = solve(sum(composition), len(composition))
     if space.dimension == 0:
         print("solution space is zero-dimensional", file=sys.stderr)
@@ -244,7 +264,6 @@ def cmd_express(args) -> int:
     coords = express_in_basis(composition, space)
     rows: list[list] = []
     if args.relative_to:
-        reference = tuple(int(x) for x in args.relative_to.split(","))
         ref_coords = express_in_basis(reference, space)
         for i, (c, ref) in enumerate(zip(coords, ref_coords)):
             if ref == 0:
@@ -385,11 +404,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"internal assertion failed: {exc}", file=sys.stderr)
+    except (AssertionError, ValueError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -6,22 +6,18 @@ lowest terms, positive denominator).  A polynomial is a fixed-arity sparse
 map from exponent tuples to nonzero coefficients, each an ``int`` when it
 is integral and a ``Fraction`` otherwise; the zero polynomial is the empty
 map.  The kernel takes integer rows and returns the canonical rational
-nullspace (``nullspace_int``, one vector per free column, found by
-back-substitution) and the reduced echelon form read off it
-(``span_rref``); ranks come from fraction-free Bareiss elimination.  A
-modular fast path (single machine prime, numpy integer arithmetic) is used
-only to *select* pivot rows or to certify full column rank; every emitted
-rank/nullspace value is established by exact integer arithmetic on top of
-it.
+nullspace (``nullspace_int``: reduced echelon forms mod p, lifted by CRT
+and rational reconstruction, then certified by integer dot products) and
+the reduced echelon form read off it (``span_rref``).  Exact ranks come
+from fraction-free Bareiss elimination; a mod-p rank is a lower bound.
 
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -32,8 +28,8 @@ Rational = Fraction
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 
-# Prime for the modular fast path.  Products of two reduced residues fit in
-# int64, so numpy arithmetic below is exact.
+# The first prime of the mod-p passes.  Products of two reduced residues
+# fit in int64, so numpy arithmetic below is exact.
 _PRIME = 2147483647
 
 
@@ -132,12 +128,6 @@ class Poly:
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
-
-    def total_degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
@@ -386,94 +376,42 @@ def divexact(p: Poly, q: Poly) -> Poly:
 # Exact linear algebra on integer rows
 # ---------------------------------------------------------------------
 
-def _echelon_insert(echelon: dict[int, list[int]], row: list[int]) -> int | None:
-    """Reduce ``row`` (a fresh list, modified here) against an integer
-    echelon and insert it if independent.
+def _int_array(rows, ncols: int) -> np.ndarray:
+    """Integer rows as one int64 array, or as an ``object`` array of Python
+    ints when an entry does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
-    Returns the pivot column on insertion, None if the row reduced to zero.
-    ``echelon`` maps pivot column -> primitive integer row with a positive
-    leading entry.
-    """
-    ncols = len(row)
-    lead = 0
+
+def _primes():
+    """``_PRIME``, then the primes below it in decreasing order."""
+    n = _PRIME
     while True:
-        # entries left of lead are zero in row and in the pivot row at lead
-        while lead < ncols and not row[lead]:
-            lead += 1
-        if lead == ncols:
-            return None
-        piv = echelon.get(lead)
-        if piv is None:
-            g = gcd(*row) if row[lead] > 0 else -gcd(*row)
-            echelon[lead] = [v // g for v in row]
-            return lead
-        g = gcd(piv[lead], row[lead])
-        ma, mb = piv[lead] // g, row[lead] // g
-        row[lead:] = [ma * rv - mb * pv
-                      for rv, pv in zip(row[lead:], piv[lead:])]
-        g = gcd(*row)
-        if g > 1:
-            row = [v // g for v in row]
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
+        n -= 2
 
 
-def _free_column_basis(echelon: dict[int, list[int]],
-                       ncols: int) -> dict[int, tuple[list[int], int]]:
-    """Canonical nullspace basis of an integer echelon, keyed by free column.
+def _modp_pivot_rows(mat: np.ndarray, ncols: int,
+                     p: int = _PRIME) -> dict[int, np.ndarray]:
+    """Gaussian elimination mod p of an integer row array; returns the
+    pivot rows keyed by pivot column, so the mod-p rank is their number.
 
-    The vector of free column f has 1 at f and 0 at every other free column,
-    so it is the one read off the reduced row echelon form.  It is found by
-    back-substitution through the pivots p < f in descending order (pivots
-    above f stay 0) and returned as integers over one positive common
-    denominator; the reduced form itself is never built.
-    """
-    pivots = sorted(echelon)
-    basis: dict[int, tuple[list[int], int]] = {}
-    for f in range(ncols):
-        if f in echelon:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        # denom divides the product of the pivot entries (Cramer's rule), so
-        # it needs no intermediate gcd reduction
-        denom = 1
-        support = [f]
-        for p in reversed(pivots[:bisect_left(pivots, f)]):
-            row = echelon[p]
-            num = -sum(row[j] * vec[j] for j in support)
-            if not num:
-                continue
-            g = gcd(num, row[p])
-            scale = row[p] // g
-            if scale != 1:
-                for j in support:
-                    vec[j] *= scale
-                denom *= scale
-            vec[p] = num // g
-            support.append(p)
-        basis[f] = (vec, denom)
-    return basis
-
-
-def _modp_pivot_rows(rows: Iterable[Sequence[int]], ncols: int,
-                     p: int = _PRIME) -> tuple[int, list[int]]:
-    """Gaussian elimination mod p; returns (rank, indices of pivot rows).
-
-    Deterministic.  The rows are taken in input order, 64 at a time, and
-    the pass stops once the rank is ncols.  A block is first reduced by the
+    Deterministic.  The rows are taken in order, 64 at a time, and the
+    pass stops once the rank is ncols.  A block is first reduced by the
     pivot rows found so far, in increasing pivot column (each is zero left
     of its pivot column, so this clears every pivot column), then its
     columns are scanned left to right and the first usable row becomes the
-    pivot.  The selected rows are linearly independent over Q as well, since
-    their mod-p rank is full.
+    pivot.  Each pivot row is 1 at its column, 0 left of it and 0 at every
+    pivot column found before it.
     """
-    mat = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    pivots: dict[int, np.ndarray] = {}  # column -> its pivot row, 1 there
-    piv_rows: list[int] = []
+    pivots: dict[int, np.ndarray] = {}
     for start in range(0, len(mat), 64):
         if len(pivots) == ncols:
             break
-        block = mat[start:start + 64]
-        order = np.arange(start, start + len(block))
+        block = np.asarray(mat[start:start + 64] % p, dtype=np.int64)
         for c in sorted(pivots):
             _eliminate_modp(block, pivots[c], c, p)
         r = 0
@@ -486,13 +424,11 @@ def _modp_pivot_rows(rows: Iterable[Sequence[int]], ncols: int,
             i = r + int(nz[0])
             if i != r:
                 block[[r, i]] = block[[i, r]]
-                order[[r, i]] = order[[i, r]]
             block[r, c:] = block[r, c:] * pow(int(block[r, c]), p - 2, p) % p
             pivots[c] = block[r]
-            piv_rows.append(int(order[r]))
             _eliminate_modp(block[r + 1:], block[r], c, p)
             r += 1
-    return len(pivots), piv_rows
+    return pivots
 
 
 def _eliminate_modp(block: np.ndarray, pivot_row: np.ndarray, c: int,
@@ -504,75 +440,119 @@ def _eliminate_modp(block: np.ndarray, pivot_row: np.ndarray, c: int,
         block[nz, c:] = (sub - sub[:, :1] * pivot_row[c:]) % p
 
 
+def _rational(x: int, m: int) -> Fraction | None:
+    """The a/b with a = b x (mod m) and |a|, b <= sqrt(m / 2), or None
+    (Wang 1981; such an a/b is unique)."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if 0 < abs(t1) <= bound and gcd(r1, t1) == 1:
+        return Fraction(r1, t1)
+    return None
+
+
+def _certified_basis(mat: np.ndarray, residues: np.ndarray, m: int,
+                     pivots: list[int], free: list[int],
+                     amax: int) -> list[list[Fraction]] | None:
+    """The vectors that are 1 at their free column and, at the pivots, the
+    rational reconstructions of ``residues`` (pivots x free) mod m; None
+    unless every entry reconstructs and every row of ``mat`` annihilates
+    every vector exactly."""
+    basis, nums, denoms = [], [], []
+    for f, column in zip(free, residues.T):
+        entries = [_rational(int(x), m) for x in column]
+        if None in entries:
+            return None
+        denom = lcm(*(q.denominator for q in entries))
+        nums.append([q.numerator * denom // q.denominator for q in entries])
+        denoms.append(denom)
+        vec = [Fraction(0)] * mat.shape[1]
+        vec[f] = Fraction(1)
+        for c, q in zip(pivots, entries):
+            vec[c] = q
+        basis.append(vec)
+    # integer dot products, in int64 when no partial sum can overflow
+    vecs = np.zeros((len(free), mat.shape[1]), dtype=object)
+    vecs[:, pivots] = nums
+    vecs[range(len(free)), free] = denoms
+    width = max(sum(map(abs, num)) + d for num, d in zip(nums, denoms))
+    exact = np.int64 if mat.dtype != object and amax * width < 2 ** 63 else object
+    check = mat.astype(exact, copy=False) @ vecs.T.astype(exact)
+    return None if check.any() else basis
+
+
 def nullspace_int(rows: Sequence[Sequence[int]],
                   ncols: int) -> list[list[Fraction]]:
     """Exact nullspace basis of an integer row system, deterministically.
 
-    The basis is the canonical one of the reduced row echelon form: one
-    vector per free column, with coefficient 1 on its free column and 0 on
-    every other free column.  Above 4000 matrix entries a mod-p elimination
-    first selects candidate pivot rows; a full mod-p rank proves the
-    nullspace zero.  Otherwise exact elimination runs on those rows only,
-    and every remaining row is verified against the basis (integers over
-    one denominator) by integer dot products, with a fallback insertion if
-    verification ever fails, so the result is exact regardless of p.
+    The basis is the canonical one of the reduced row echelon form R: one
+    vector per free column f, with 1 at f, 0 at every other free column
+    and -R[:, f] at the pivots.  Each prime runs one mod-p elimination of
+    the distinct nonzero rows and back-eliminates its pivot rows to R mod
+    p.  A full mod-p rank proves the nullspace zero.  Otherwise the primes
+    with the best key (highest rank, then lexicographically first pivot
+    columns) are combined by CRT and rational reconstruction, and the
+    vectors are returned once every row times every vector is exactly 0.
+    That check is the certificate: the k vectors that pass are independent
+    null vectors, each zero after its own free column, and k = ncols - rank
+    mod p is at least the nullity over Q, so the mod-p free columns are the
+    free columns over Q and the vectors are exactly the canonical basis.
     """
-    work = [row for row in rows if any(row)]
-    if len(work) * ncols > 4000:
-        rank, piv = _modp_pivot_rows(work, ncols)
-        if rank == ncols:
+    mat = _int_array(list(dict.fromkeys(tuple(row) for row in rows if any(row))),
+                     ncols)
+    amax = max(int(mat.max()), -int(mat.min())) if mat.size else 0
+    # An unlucky prime divides a nonzero pivot minor, at most H (Hadamard,
+    # H^2 <= h2), and reconstruction succeeds once the lucky primes exceed
+    # 2 H^2, so the primes tried never need to exceed 2 H^3.
+    h2 = (ncols * amax * amax) ** min(mat.shape)
+    tried, best = 1, None
+    for p in _primes():
+        pivots = _modp_pivot_rows(mat, ncols, p)
+        if len(pivots) == ncols:
             return []
-        piv_set = set(piv)
-        selected = [work[i] for i in piv]
-        rest = [work[i] for i in range(len(work)) if i not in piv_set]
-    else:
-        selected = work
-        rest = []
-    echelon: dict[int, list[int]] = {}
-    for row in selected:
-        _echelon_insert(echelon, list(row))
-        if len(echelon) == ncols:
-            return []
-
-    while True:
-        basis = list(_free_column_basis(echelon, ncols).values())
-        if not basis:
-            return []
-        bad = None
-        for row in rest:
-            support = [j for j, v in enumerate(row) if v]
-            for vec, _ in basis:
-                if sum(row[j] * vec[j] for j in support):
-                    bad = row
-                    break
-            if bad is not None:
-                break
-        if bad is None:
-            return [[Fraction(v, denom) for v in vec] for vec, denom in basis]
-        _echelon_insert(echelon, list(bad))
-        rest = [r for r in rest if r is not bad]
+        cols = sorted(pivots)
+        key = (-len(cols), cols)
+        if best is None or key < best:
+            best, residues, m = key, 0, 1
+        if key == best:
+            red = np.array([pivots[c] for c in cols],
+                           dtype=np.int64).reshape(len(cols), ncols)
+            for i in reversed(range(len(cols))):
+                _eliminate_modp(red[:i], red[i], cols[i], p)
+            free = [f for f in range(ncols) if f not in pivots]
+            res = (-red[:, free] % p).astype(object)
+            residues = residues + m * ((res - residues) * pow(m, -1, p) % p)
+            m *= p
+            basis = _certified_basis(mat, residues, m, cols, free, amax)
+            if basis is not None:
+                return basis
+        tried *= p
+        if tried ** 2 > 4 * h2 ** 3:
+            raise AssertionError(f"nullspace not certified by the primes down to {p}")
 
 
 def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
     """Reduced row echelon form of the span of rational vectors: one row per
     pivot column, in ascending order (deterministic).
 
-    The rows are read off the canonical nullspace basis: row p has 1 at p,
+    The rows are read off the canonical nullspace basis of the vectors,
+    whose free column is each one's last nonzero entry: row p has 1 at p,
     0 at the other pivots and -basis_f[p] at each free column f.
     """
-    echelon: dict[int, list[int]] = {}
+    rows = []
     for vec in vectors:
-        denom = 1
-        for x in vec:
-            denom = lcm(denom, x.denominator)
-        _echelon_insert(echelon, [int(x * denom) for x in vec])
-    basis = _free_column_basis(echelon, ncols)
+        denom = lcm(*(x.denominator for x in vec))
+        rows.append([int(x * denom) for x in vec])
+    basis = nullspace_int(rows, ncols)
+    free = [max(j for j, x in enumerate(vec) if x) for vec in basis]
     out = []
-    for p in sorted(echelon):
+    for p in sorted(set(range(ncols)).difference(free)):
         row = [Fraction(0)] * ncols
         row[p] = Fraction(1)
-        for f, (vec, denom) in basis.items():
-            row[f] = Fraction(-vec[p], denom)
+        for f, vec in zip(free, basis):
+            row[f] = -vec[p]
         out.append(row)
     return out
 
@@ -612,8 +592,7 @@ def rank_bareiss(rows: list[list[int]]) -> int:
 
 def rank_modular(rows: list[list[int]], ncols: int, p: int = _PRIME) -> int:
     """Rank mod p.  Always a lower bound for the rank over Q."""
-    r, _ = _modp_pivot_rows(rows, ncols, p)
-    return r
+    return len(_modp_pivot_rows(_int_array(rows, ncols), ncols, p))
 
 
 def full_rank_certificate(rows: list[list[int]], ncols: int) -> bool:

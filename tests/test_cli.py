@@ -118,6 +118,47 @@ def test_unbounded_weights_usage_error(capsys):
         assert out == "", argv
 
 
+DEEP_EXPR = "{3," * 1500 + "5" + "}" * 1500
+
+
+@pytest.mark.parametrize("argv", [
+    ["express", "--composition", "4,x"],
+    ["express", "--composition", "0,4"],
+    ["express", "--composition", "4,3,3,2", "--relative-to", "1,1,8"],
+    ["express", "--composition", "4,3,3,2", "--relative-to", "1,1,8,3"],
+    ["express", "--composition", "4,3,3,2", "--relative-to", "1,-1,8,4"],
+    ["express", "--composition", "4," + "9" * 5000],
+    ["bracket", "--expr", "e12[x]"],
+    ["bracket", "--expr", "{3,e12[0}"],
+    ["bracket", "--expr", "{3,4}"],
+    ["bracket", "--expr", "{1,3}"],
+    ["bracket", "--expr", "{3,e200}"],
+    ["bracket", "--expr", "{3,e13}"],
+    ["bracket", "--expr", "{3,{5,{7,{9,{11,{13,{15,{17,19}}}}}}}}"],
+    ["bracket", "--expr", DEEP_EXPR],
+    ["bracket", "--expr", "{" * 1500],
+    ["bracket", "--expr", "{3," + "9" * 5000 + "}"],
+    ["bracket", "--expr", "{3,e12[" + "1" * 5000 + "]}"],
+], ids=lambda argv: " ".join(argv)[:40])
+def test_argv_faults_are_usage_errors(capsys, argv):
+    # found while reading argv, before any bracket or solve is evaluated
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_library_value_error_is_internal(capsys, monkeypatch):
+    from doubleshuffle import cli
+
+    def broken(N, r):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(cli, "dimension", broken)
+    code, out = run(capsys, "dims", "--max-weight", "3", "--max-depth", "1")
+    assert code == 3
+    assert out == ""
+
+
 def test_period_dump(capsys):
     code, out = run(capsys, "period", "--weight", "12")
     assert code == 0

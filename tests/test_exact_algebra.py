@@ -282,20 +282,25 @@ def test_modular_rank_agrees_with_exact():
     assert rank_modular(mat, 30) == rank_bareiss(mat) == 20
 
 
-def nullspace_from_rref(rows, ncols):
-    """Canonical nullspace read off ``span_rref``, which has no modular pass."""
-    rref = span_rref(rows, ncols)
-    pivots = [row.index(1) for row in rref]
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for p, row in zip(pivots, rref):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
+def assert_canonical_nullspace(rows, ncols, basis):
+    """Check ``basis`` against properties that pin the canonical nullspace
+    down uniquely, with ``rank_bareiss`` as the independent rank: nullity
+    many exact null vectors, each with a last nonzero entry 1 at its free
+    column f, the f strictly increasing, and each vector 0 at the other
+    free columns."""
+    assert len(basis) == ncols - rank_bareiss(rows)
+    free = []
+    for vec in basis:
+        denom = lcm(*(x.denominator for x in vec))
+        scaled = [int(x * denom) for x in vec]
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, scaled)) == 0
+        f = max(j for j, x in enumerate(vec) if x)
+        assert vec[f] == 1
+        free.append(f)
+    assert all(a < b for a, b in zip(free, free[1:]))
+    for vec, f in zip(basis, free):
+        assert all(vec[g] == 0 for g in free if g != f)
 
 
 def low_rank_rows(rng, nrows, ncols, rank, first_col=0):
@@ -311,90 +316,113 @@ def low_rank_rows(rng, nrows, ncols, rank, first_col=0):
     return rows
 
 
-def count_kernel_calls(monkeypatch):
-    """Record the mod-p ranks and the exact insertions of ``nullspace_int``."""
-    calls = {"modp_ranks": [], "inserts": 0}
-    modp, insert = exact_algebra._modp_pivot_rows, exact_algebra._echelon_insert
+def count_modp_passes(monkeypatch):
+    """Record the rank of every mod-p pass that ``nullspace_int`` runs."""
+    ranks = []
+    modp = exact_algebra._modp_pivot_rows
 
-    def counted_modp(*args, **kwargs):
-        rank, piv = modp(*args, **kwargs)
-        calls["modp_ranks"].append(rank)
-        return rank, piv
+    def counted(*args, **kwargs):
+        pivots = modp(*args, **kwargs)
+        ranks.append(len(pivots))
+        return pivots
 
-    def counted_insert(*args, **kwargs):
-        calls["inserts"] += 1
-        return insert(*args, **kwargs)
-
-    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted_modp)
-    monkeypatch.setattr(exact_algebra, "_echelon_insert", counted_insert)
-    return calls
+    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted)
+    return ranks
 
 
-def test_nullspace_modular_path_matches_pure_exact(monkeypatch):
-    # above the 4000-entry threshold the modular pass selects the pivot rows
+def test_nullspace_lucky_primes_are_canonical(monkeypatch):
+    # every prime is lucky here; the dense rank-25 system has minors too
+    # large for one prime, so its passes accumulate by CRT
     rng = random.Random(13)
-    for nrows, ncols, rank in [(110, 40, 25), (90, 50, 50), (70, 60, 3)]:
+    for nrows, ncols, rank, npasses in [(110, 40, 25, 5), (90, 50, 50, 1),
+                                        (70, 60, 3, 1)]:
         rows = low_rank_rows(rng, nrows, ncols, rank)
-        assert nrows * ncols > 4000
-        calls = count_kernel_calls(monkeypatch)
+        ranks = count_modp_passes(monkeypatch)
         basis = nullspace_int(rows, ncols)
         monkeypatch.undo()
-        assert len(calls["modp_ranks"]) == 1
-        assert basis == nullspace_from_rref(rows, ncols)
+        assert ranks == [rank] * npasses
+        assert_canonical_nullspace(rows, ncols, basis)
 
 
 def test_nullspace_degenerate_prime_entries(monkeypatch):
-    # rows _PRIME * e_j vanish mod p, so the modular pass never selects them
-    # and the exact verification fallback must insert each one
+    # rows _PRIME * e_j vanish mod _PRIME, so the first pass has rank 30; the
+    # later primes see them, and their better rank-35 key restarts the CRT
     rng = random.Random(17)
     ncols = 50
     prime_rows = [[_PRIME if j == col else 0 for j in range(ncols)]
                   for col in range(5)]
     rows = prime_rows[:3] + low_rank_rows(rng, 85, ncols, 30, first_col=5) + prime_rows[3:]
-    assert len(rows) * ncols > 4000
-    calls = count_kernel_calls(monkeypatch)
+    ranks = count_modp_passes(monkeypatch)
     basis = nullspace_int(rows, ncols)
     monkeypatch.undo()
-    [modp_rank] = calls["modp_ranks"]
-    assert modp_rank == 30
-    assert calls["inserts"] == modp_rank + len(prime_rows)
-    assert rank_bareiss(rows) + len(basis) == ncols
-    for vec in basis:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
-    assert basis == nullspace_from_rref(rows, ncols)
+    assert ranks[0] == 30 and set(ranks[1:]) == {35}
+    assert_canonical_nullspace(rows, ncols, basis)
 
 
 def test_nullspace_full_column_rank_short_circuit(monkeypatch):
-    # full mod-p rank proves the nullspace zero: no exact elimination at all
+    # full mod-p rank proves the nullspace zero: one pass and nothing else
     rows = low_rank_rows(random.Random(19), 90, 50, 50)
-    calls = count_kernel_calls(monkeypatch)
+    ranks = count_modp_passes(monkeypatch)
     assert nullspace_int(rows, 50) == []
     monkeypatch.undo()
-    assert calls["modp_ranks"] == [50]
-    assert calls["inserts"] == 0
+    assert ranks == [50]
 
 
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), ncols=st.integers(41, 60),
-       rank=st.integers(0, 60), repeats=st.integers(0, 20),
-       prime_cols=st.lists(st.integers(0, 40), max_size=4))
-def test_nullspace_kernel_properties(seed, ncols, rank, repeats, prime_cols):
-    # above the threshold, with repeated rows and rows that vanish mod p
+def test_nullspace_multi_prime_reconstruction(monkeypatch):
+    # 2**40 + 1 reconstructs only once the modulus exceeds 2 (2**40 + 1)**2
+    ranks = count_modp_passes(monkeypatch)
+    assert nullspace_int([[1, -(2 ** 40 + 1)]], 2) == [[Fraction(2 ** 40 + 1),
+                                                        Fraction(1)]]
+    assert len(ranks) >= 3
+
+
+def test_nullspace_entries_beyond_int64():
+    rows = [[2 ** 70, 0, -1], [3, 0, -(2 ** 65)]]
+    basis = nullspace_int(rows, 3)
+    assert basis == [[0, 1, 0]]
+    rows = [[2 ** 70, 5, -1]]
+    basis = nullspace_int(rows, 3)
+    assert basis == [[Fraction(-5, 2 ** 70), 1, 0], [Fraction(1, 2 ** 70), 0, 1]]
+    assert_canonical_nullspace(rows, 3, basis)
+
+
+def test_nullspace_and_span_of_no_rows():
+    assert nullspace_int([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace_int([[0, 0, 0]], 3) == nullspace_int([], 3)
+    assert span_rref([], 4) == []
+
+
+def test_nullspace_uncertified_past_the_bound_raises(monkeypatch):
+    # with reconstruction disabled, the prime loop stops at its bound
+    monkeypatch.setattr(exact_algebra, "_rational", lambda *args: None)
+    with pytest.raises(AssertionError):
+        nullspace_int([[1, -1], [2, -2]], 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ncols=st.integers(1, 60),
+       nrows=st.integers(0, 90), rank=st.integers(0, 60),
+       repeats=st.integers(0, 20),
+       prime_cols=st.lists(st.integers(0, 59), max_size=4))
+def test_nullspace_kernel_properties(seed, ncols, nrows, rank, repeats,
+                                     prime_cols):
+    # any size, with repeated rows and rows that vanish mod p
     rng = random.Random(seed)
-    rows = low_rank_rows(rng, 4001 // ncols + 1, ncols, min(rank, ncols))
-    rows += [rng.choice(rows) for _ in range(repeats)]
+    rows = low_rank_rows(rng, nrows, ncols, min(rank, ncols))
+    rows += [rng.choice(rows) for _ in range(repeats if rows else 0)]
     for col in prime_cols:
         rows.insert(rng.randrange(len(rows) + 1),
-                    [_PRIME if j == col else 0 for j in range(ncols)])
+                    [_PRIME if j == col % ncols else 0 for j in range(ncols)])
     basis = nullspace_int(rows, ncols)
-    assert basis == nullspace_from_rref(rows, ncols)
-    for vec in basis:
-        denom = lcm(*(x.denominator for x in vec))
-        scaled = [int(x * denom) for x in vec]
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, scaled)) == 0
+    assert_canonical_nullspace(rows, ncols, basis)
     assert rank_modular(rows, ncols) <= rank_bareiss(rows)
+    # span_rref reads the reduced form off the same basis
+    rref = span_rref(rows, ncols)
+    assert len(rref) + len(basis) == ncols
+    pivots = [row.index(1) for row in rref]
+    for vec in basis:
+        assert all(sum(r[j] * vec[j] for j in range(ncols)) == 0 for r in rref)
+    assert all(row[q] == (p == q) for p, row in zip(pivots, rref) for q in pivots)
 
 
 def test_nullspace_deterministic_normal_form():
