@@ -303,6 +303,39 @@ def assert_canonical_nullspace(rows, ncols, basis):
         assert all(vec[g] == 0 for g in free if g != f)
 
 
+def nullspace_by_fractions(rows, ncols):
+    """Canonical nullspace by Gauss-Jordan elimination over ``Fraction``,
+    with no modular arithmetic: for each free column f, the vector with 1
+    at f, minus the reduced rows' entries in column f at their pivots."""
+    reduced, pivots = [], []
+    for row in rows:
+        vec = [Fraction(x) for x in row]
+        for prow, p in zip(reduced, pivots):
+            if vec[p]:
+                c = vec[p]
+                vec = [a - c * b for a, b in zip(vec, prow)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        vec = [x / vec[lead] for x in vec]
+        for i, prow in enumerate(reduced):
+            if prow[lead]:
+                c = prow[lead]
+                reduced[i] = [a - c * b for a, b in zip(prow, vec)]
+        reduced.append(vec)
+        pivots.append(lead)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for p, prow in zip(pivots, reduced):
+            vec[p] = -prow[f]
+        basis.append(vec)
+    return basis
+
+
 def low_rank_rows(rng, nrows, ncols, rank, first_col=0):
     """Integer combinations of ``rank`` random rows supported on the columns
     from ``first_col`` on."""
@@ -328,6 +361,15 @@ def count_modp_passes(monkeypatch):
 
     monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted)
     return ranks
+
+
+def test_nullspace_modular_path_matches_pure_exact():
+    # the mod-p lift returns exactly the basis of a pure Fraction elimination
+    rng = random.Random(13)
+    for nrows, ncols, rank in [(110, 40, 25), (90, 50, 50), (70, 60, 3),
+                               (12, 9, 5)]:
+        rows = low_rank_rows(rng, nrows, ncols, rank)
+        assert nullspace_int(rows, ncols) == nullspace_by_fractions(rows, ncols)
 
 
 def test_nullspace_lucky_primes_are_canonical(monkeypatch):
