@@ -24,15 +24,15 @@ from .exact_algebra import format_rational
 from .ihara import DepthPoly, bracket, depth1_generator
 from .double_shuffle import dimension, iterated_bracket_span, solve
 from .exceptional import exceptional_elements, express_in_basis
-from .odd_mzv import odd_rank, predicted_odd_table
+from .odd_mzv import MAX_TABLE_WEIGHT, odd_rank, predicted_odd_table
 from .period_poly import basis_S, cusp_dimension
 from .series import bk_series, eos, hoffman_dims, pbw
 
 MAX_WEIGHT_BOUND = 20
 MAX_DEPTH_BOUND = 5
-MAX_ODD_WEIGHT_BOUND = 31     # composition matrices stay tiny this far
 MAX_SERIES_WEIGHT_BOUND = 40  # series truncation; period and exceptional weights
 MAX_BRACKET_DEPTH = 8         # a generator counts 1, an exceptional e<w> 4
+MAX_JOBS = 64                 # a pool starts all its workers at the first submit
 
 
 class UsageError(Exception):
@@ -56,10 +56,11 @@ def _emit(args, command: str, params: dict, rows: list[list],
 
 
 def _map_cells(fn, cells, jobs: int):
-    """Order-preserving map over independent cells."""
+    """Order-preserving map over independent cells, one worker per cell at
+    most."""
     if jobs <= 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(fn, cells))
 
 
@@ -130,7 +131,7 @@ def cmd_bk_check(args) -> int:
         _check_bounds(args.max_weight, args.max_depth)
     elif args.target == "odd":
         _check_bounds(args.max_weight, args.max_depth,
-                      MAX_ODD_WEIGHT_BOUND, 8)
+                      MAX_TABLE_WEIGHT, 8)
     elif args.target == "full-t1":
         _check_bounds(args.max_weight, args.max_depth,
                       MAX_SERIES_WEIGHT_BOUND, 8)
@@ -397,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     try:
+        if not 1 <= args.jobs <= MAX_JOBS:
+            raise UsageError(f"--jobs must be in 1..{MAX_JOBS}")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

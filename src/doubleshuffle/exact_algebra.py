@@ -453,18 +453,33 @@ def _rational(x: int, m: int) -> Fraction | None:
     return None
 
 
-def _certified_basis(mat: np.ndarray, residues: np.ndarray, m: int,
+def _reconstruct(residues: np.ndarray, m: int,
+                 start: int) -> tuple[list[list[Fraction]] | None, int]:
+    """Rational reconstructions mod m of the columns of ``residues`` (pivots
+    x free) and ``start``, or None and the first column that fails.  Columns
+    are tried from ``start`` on, then the ones before it: started at the
+    column that failed under the previous modulus, an attempt that cannot
+    succeed yet usually stops within that column."""
+    columns: list = [None] * residues.shape[1]
+    for j in [*range(start, len(columns)), *range(start)]:
+        column = []
+        for x in residues[:, j]:
+            q = _rational(int(x), m)
+            if q is None:
+                return None, j
+            column.append(q)
+        columns[j] = column
+    return columns, start
+
+
+def _certified_basis(mat: np.ndarray, columns: list[list[Fraction]],
                      pivots: list[int], free: list[int],
                      amax: int) -> list[list[Fraction]] | None:
-    """The vectors that are 1 at their free column and, at the pivots, the
-    rational reconstructions of ``residues`` (pivots x free) mod m; None
-    unless every entry reconstructs and every row of ``mat`` annihilates
-    every vector exactly."""
+    """The vectors that are 1 at their free column and ``columns`` at the
+    pivots; None unless every row of ``mat`` annihilates every vector
+    exactly."""
     basis, nums, denoms = [], [], []
-    for f, column in zip(free, residues.T):
-        entries = [_rational(int(x), m) for x in column]
-        if None in entries:
-            return None
+    for f, entries in zip(free, columns):
         denom = lcm(*(q.denominator for q in entries))
         nums.append([q.numerator * denom // q.denominator for q in entries])
         denoms.append(denom)
@@ -515,7 +530,7 @@ def nullspace_int(rows: Sequence[Sequence[int]],
         cols = sorted(pivots)
         key = (-len(cols), cols)
         if best is None or key < best:
-            best, residues, m = key, 0, 1
+            best, residues, m, hard = key, 0, 1, 0
         if key == best:
             red = np.array([pivots[c] for c in cols],
                            dtype=np.int64).reshape(len(cols), ncols)
@@ -525,9 +540,11 @@ def nullspace_int(rows: Sequence[Sequence[int]],
             res = (-red[:, free] % p).astype(object)
             residues = residues + m * ((res - residues) * pow(m, -1, p) % p)
             m *= p
-            basis = _certified_basis(mat, residues, m, cols, free, amax)
-            if basis is not None:
-                return basis
+            columns, hard = _reconstruct(residues, m, hard)
+            if columns is not None:
+                basis = _certified_basis(mat, columns, cols, free, amax)
+                if basis is not None:
+                    return basis
         tried *= p
         if tried ** 2 > 4 * h2 ** 3:
             raise AssertionError(f"nullspace not certified by the primes down to {p}")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from doubleshuffle import cli
 from doubleshuffle.cli import main
 
 
@@ -145,6 +146,41 @@ def test_argv_faults_are_usage_errors(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+def test_jobs_above_cap_is_usage_error(capsys, monkeypatch):
+    # rejected while reading argv: no worker pool may be started
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    code, out = run(capsys, "dims", "--max-weight", "6", "--max-depth", "1",
+                    "--jobs", "65")
+    assert code == 2
+    assert out == ""
+
+
+def test_worker_count_clamped_to_cells(capsys, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out = run(capsys, "bk-check", "--target", "odd", "--max-weight", "9",
+                    "--max-depth", "2", "--jobs", "64")
+    assert code == 0
+    assert started == [6]  # (N, r) = (1..4, 1) and (2..3, 2)
+    assert all(row[-1] == "ok" for row in tsv_rows(out))
 
 
 def test_library_value_error_is_internal(capsys, monkeypatch):

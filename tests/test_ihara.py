@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleshuffle.double_shuffle import partial_sum_transform, solve
 from doubleshuffle.exact_algebra import Poly
@@ -136,6 +138,19 @@ def test_bracket_antisymmetry_randomized():
         f = rng.choice(pool)
         g = rng.choice(pool)
         assert bracket(f, g).body == bracket(g, f).scale(-1).body
+
+
+# depth-1 generators of weights 3..9 and the brackets of two of them
+GENERATORS = st.integers(1, 4).map(x_power)
+SMALL_ELEMENTS = st.one_of(GENERATORS,
+                           st.tuples(GENERATORS, GENERATORS).map(
+                               lambda pair: bracket(*pair)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=SMALL_ELEMENTS, g=SMALL_ELEMENTS)
+def test_bracket_antisymmetry_property(f, g):
+    assert bracket(f, g).body == bracket(g, f).scale(-1).body
 
 
 def test_jacobi_small():

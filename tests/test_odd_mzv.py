@@ -1,6 +1,8 @@
 """Tests for the totally odd composition matrices and their ranks."""
 
-from doubleshuffle.exact_algebra import Poly, rank_modular
+from functools import lru_cache
+
+from doubleshuffle.exact_algebra import Poly, rank_bareiss, rank_modular
 from doubleshuffle.ihara import depth1_generator, poly_compose
 from doubleshuffle.odd_mzv import (c_coefficient, compositions, nested_action,
                                    odd_matrix, odd_rank, odd_rank_table,
@@ -88,3 +90,48 @@ def test_modular_agreement_on_emitted_values():
         for N in range(r, 7):
             mat = odd_matrix(N, r)
             assert rank_modular(mat.entries, mat.size) == odd_rank(N, r)
+
+
+# cells (N, r) with 2N + r <= 19 and r <= 7, where the expansion is cheap
+EXPANDED_CELLS = [(N, r) for r in range(1, 8) for N in range(r, (19 - r) // 2 + 1)]
+
+
+@lru_cache(maxsize=None)
+def expanded_matrix(N, r):
+    """The composition matrix read off the expanded nested actions."""
+    comps = compositions(N, r)
+    bodies = [nested_action(m).body for m in comps]
+    return [[body.coefficient(tuple(2 * x for x in n)) for n in comps]
+            for body in bodies]
+
+
+def test_odd_matrix_equals_expanded_nested_action():
+    for N, r in EXPANDED_CELLS:
+        assert odd_matrix(N, r).entries == expanded_matrix(N, r), (N, r)
+
+
+def test_c_coefficient_equals_expanded_nested_action():
+    for N, r in EXPANDED_CELLS:
+        comps = compositions(N, r)
+        expected = expanded_matrix(N, r)
+        for i, m in enumerate(comps):
+            for j, n in enumerate(comps):
+                assert c_coefficient(m, n) == expected[i][j], (m, n)
+
+
+def test_odd_rank_equals_bareiss_and_modular_ranks():
+    for r in range(1, 8):
+        for N in range(r, (21 - r) // 2 + 1):
+            mat = odd_matrix(N, r)
+            rank = odd_rank(N, r)
+            assert rank == rank_bareiss(mat.entries), (N, r)
+            assert rank == rank_modular(mat.entries, mat.size), (N, r)
+
+
+def test_rank_table_matches_series_to_weight25():
+    table = odd_rank_table(25)
+    predicted = predicted_odd_table(25, 8)
+    assert max(r for _, r in table) == 8
+    for key in set(table) | set(predicted):
+        if key[1] >= 1:
+            assert table.get(key, 0) == predicted.get(key, 0), key

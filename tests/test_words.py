@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleshuffle import ihara, words
 from doubleshuffle.exact_algebra import Poly
@@ -110,6 +111,29 @@ def test_stuffle_commutative_associative_weight():
         for word in stuffle(a, b).terms:
             assert weight(word, INDEX) == weight(a, INDEX) + weight(b, INDEX)
             assert depth(word, INDEX) <= depth(a, INDEX) + depth(b, INDEX)
+
+
+# small index words: entries 1..4, length <= 3
+INDEX_WORDS = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=INDEX_WORDS, b=INDEX_WORDS)
+def test_stuffle_commutative_property(a, b):
+    assert stuffle(a, b) == stuffle(b, a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=INDEX_WORDS, b=INDEX_WORDS, c=INDEX_WORDS)
+def test_stuffle_associative_property(a, b, c):
+    assert stuffle(stuffle(a, b), WordSum.single(c, INDEX)) == \
+        stuffle(WordSum.single(a, INDEX), stuffle(b, c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=INDEX_WORDS)
+def test_stuffle_unit_property(a):
+    assert stuffle((), a) == stuffle(a, ()) == WordSum.single(a, INDEX)
 
 
 def test_stuffle_top_depth_is_shuffle():
