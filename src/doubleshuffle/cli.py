@@ -32,6 +32,9 @@ MAX_WEIGHT_BOUND = 20
 MAX_DEPTH_BOUND = 5
 MAX_SERIES_WEIGHT_BOUND = 40  # series truncation; period and exceptional weights
 MAX_BRACKET_DEPTH = 8         # a generator counts 1, an exceptional e<w> 4
+# The slowest depth-8 shape at weight 26, {3,{3,{3,{3,{3,{3,{3,5}}}}}}},
+# takes 12 s and 340 MB on one 2-vCPU core; weight 30 takes 53 s and 1.1 GB.
+MAX_BRACKET_WEIGHT = 26
 MAX_JOBS = 64                 # a pool starts all its workers at the first submit
 
 
@@ -182,12 +185,12 @@ def _parse_bracket_expr(text: str):
     """Parse a bracket expression into a tree of ("{", left, right),
     ("g", weight) and ("e", weight, index) nodes, without recursion.
 
-    Every leaf, the depth and the syntax are checked before anything is
-    evaluated.
+    Every leaf, the depth, the weight and the syntax are checked before
+    anything is evaluated.
     """
     text = "".join(text.split())
     stack: list = []  # "{", "," and finished nodes
-    depth = pos = 0
+    depth = weight = pos = 0
     while pos < len(text):
         match = _BRACKET_TOKEN.match(text, pos)
         if match is None:
@@ -199,11 +202,13 @@ def _parse_bracket_expr(text: str):
                 raise UsageError(f"e<w> needs an even w in 12..{MAX_SERIES_WEIGHT_BOUND}")
             stack.append(("e", int(twoN), int(index or 0)))
             depth += 4
+            weight += int(twoN)
         elif gen is not None:
             if int(gen) < 3 or int(gen) % 2 == 0:
                 raise UsageError(f"generator {gen} is not odd and >= 3")
             stack.append(("g", int(gen)))
             depth += 1
+            weight += int(gen)
         elif match.group() != "}":
             stack.append(match.group())
         elif (len(stack) >= 4 and stack[-4] == "{" and stack[-2] == ","
@@ -213,6 +218,8 @@ def _parse_bracket_expr(text: str):
             raise UsageError("unbalanced bracket expression")
     if depth > MAX_BRACKET_DEPTH:
         raise UsageError(f"bracket expression depth exceeds {MAX_BRACKET_DEPTH}")
+    if weight > MAX_BRACKET_WEIGHT:
+        raise UsageError(f"bracket expression weight exceeds {MAX_BRACKET_WEIGHT}")
     if len(stack) != 1 or not isinstance(stack[0], tuple):
         raise UsageError("unbalanced bracket expression")
     return stack[0]

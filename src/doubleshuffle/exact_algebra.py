@@ -389,9 +389,28 @@ def _primes():
     """``_PRIME``, then the primes below it in decreasing order."""
     n = _PRIME
     while True:
-        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+        if _is_prime(n):
             yield n
         n -= 2
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, exact for odd 61 < n <
+    4,759,123,141 (Jaeschke 1993), so for every odd candidate of _primes."""
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _modp_pivot_rows(mat: np.ndarray, ncols: int,

@@ -86,9 +86,10 @@ def project(p: Poly, var: int, mode: str, k: int | None = None) -> Poly:
     if mode == "coeff":
         if k is None:
             raise ValueError("mode 'coeff' needs k")
-        terms = {e[:var] + (0,) + e[var + 1:]: c
-                 for e, c in p.terms.items() if e[var] == k}
-        return Poly(p.arity, terms)
+        # the kept keys differ outside var, so they stay distinct
+        return Poly(p.arity, {e[:var] + (0,) + e[var + 1:]: c
+                              for e, c in p.terms.items() if e[var] == k},
+                    _clean=True)
     if mode == "even":
         return Poly(p.arity, {e: c for e, c in p.terms.items()
                               if e[var] % 2 == 0}, _clean=True)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
-from .exact_algebra import Coeff, Poly, _settled
+import numpy as np
+
+from .exact_algebra import Poly, _int_array, _settled
 from .words import CACHE_SIZE, restrict_y0, translation_lift
 
 
@@ -78,44 +79,88 @@ def depth1_generator(weight: int) -> DepthPoly:
 # Composition
 # ---------------------------------------------------------------------
 
+# Products formed at once by compose_lifted: bounds its working memory to
+# the output plus one chunk.
+_CHUNK = 1 << 18
+
+
 def compose_lifted(F: Poly, G: Poly) -> Poly:
     """Insertion composition on lifted polynomials.
 
     F has arity r+1 (depth r), G arity s+1; the result has arity r+s+1.
     F must be homogeneous (its degree enters the sign of the reversed sum).
+
+    The sum runs over 2s+1 placements: forward i = 0..s puts F at
+    y_i..y_{i+r} and G at y_0..y_i then y_{i+r+1}..y_{r+s}; reversed
+    i = 1..s puts F, signed, at y_{i+r}..y_i and G at y_0..y_{i-1} then
+    y_{i+r}..y_{r+s}.  An exponent tuple is packed into one mixed-radix
+    code in radix b = max exponent of F + max exponent of G + 1, so a
+    monomial product is the sum of two codes.  The products are formed
+    _CHUNK at a time, and equal codes are summed after a sort.
     """
     r = F.arity - 1
     s = G.arity - 1
     if r < 0 or s < 0:
         raise ValueError("lifted polynomials need arity >= 1")
     sign = -1 if (F.homogeneous_degree() + r) % 2 else 1
-    fterms = F.terms.items()
-    gterms = G.terms.items()
-    pad = (0,) * r
-    placements = []
-    for i in range(s + 1):
-        # forward: F at y_i..y_{i+r}, G at y_0..y_i then y_{i+r+1}..y_{r+s}
-        placements.append(
-            ([((0,) * i + ea + (0,) * (s - i), ca) for ea, ca in fterms],
-             [(eb[:i + 1] + pad + eb[i + 1:], cb) for eb, cb in gterms]))
-    for i in range(1, s + 1):
-        # reversed: F at y_{i+r}..y_i, G at y_0..y_{i-1} then y_{i+r}..y_{r+s}
-        placements.append(
-            ([((0,) * i + ea[::-1] + (0,) * (s - i), sign * ca)
-              for ea, ca in fterms],
-             [(eb[:i] + pad + eb[i:], cb) for eb, cb in gterms]))
-    out: dict[tuple[int, ...], Coeff] = {}
-    get = out.get
-    for fplaced, gplaced in placements:
-        for ea, ca in fplaced:
-            for eb, cb in gplaced:
-                key = tuple(map(add, ea, eb))
-                new = get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-    return Poly(r + s + 1, _settled(out), _clean=True)
+    n = r + s + 1
+    if not F.terms or not G.terms:
+        return Poly.zero(n)
+    fe = _int_array(list(F.terms), r + 1)
+    ge = _int_array(list(G.terms), s + 1)
+    b = int(fe.max()) + int(ge.max()) + 1
+    code = np.int64 if b ** n < 2 ** 63 else object
+    fe, ge = fe.astype(code, copy=False), ge.astype(code, copy=False)
+    w = np.array([b ** (n - 1 - j) for j in range(n)], dtype=code)
+    fpos = [[*range(i, i + r + 1)] for i in range(s + 1)]
+    fpos += [[*range(i + r, i - 1, -1)] for i in range(1, s + 1)]
+    gpos = [[*range(i + 1), *range(i + r + 1, n)] for i in range(s + 1)]
+    gpos += [[*range(i), *range(i + r, n)] for i in range(1, s + 1)]
+    fcodes = np.concatenate([fe @ w[p] for p in fpos])
+    gcodes = np.stack([ge @ w[p] for p in gpos])
+    fc, gc = _coeff_arrays(list(F.terms.values()), list(G.terms.values()),
+                           len(gpos))
+    fcoeffs = np.concatenate([fc] * (s + 1) + [fc * sign] * s)
+    # fcodes[k] + gcodes[k // len(F)] are the codes of row k's products
+    codes, coeffs = fcodes[:0], fcoeffs[:0]
+    step = max(1, _CHUNK // len(gc))
+    for start in range(0, len(fcodes), step):
+        rows = np.arange(start, min(start + step, len(fcodes)))
+        codes, coeffs = _sum_equal_codes(
+            np.concatenate([codes, (fcodes[rows, None]
+                                    + gcodes[rows // len(fc)]).ravel()]),
+            np.concatenate([coeffs, np.multiply.outer(fcoeffs[rows], gc).ravel()]))
+    keys = np.empty(len(codes), dtype=[(f"y{j}", np.min_scalar_type(b - 1))
+                                       for j in range(n)])
+    for j in reversed(range(1, n)):
+        keys[f"y{j}"] = codes % b
+        codes = codes // b
+    keys["y0"] = codes
+    return Poly(n, _settled(dict(zip(keys.tolist(), coeffs.tolist()))),
+                _clean=True)
+
+
+def _coeff_arrays(fvals: list, gvals: list, placements: int):
+    """F's and G's coefficients as int64 arrays when no sum of products
+    can overflow, else as ``object`` arrays of ints and Fractions.  A code
+    gets at most min(|F|, |G|) products per placement."""
+    exact = object
+    if all(type(c) is int for c in fvals + gvals):
+        bound = (max(map(abs, fvals)) * max(map(abs, gvals))
+                 * placements * min(len(fvals), len(gvals)))
+        if bound < 2 ** 63:
+            exact = np.int64
+    return np.array(fvals, dtype=exact), np.array(gvals, dtype=exact)
+
+
+def _sum_equal_codes(codes: np.ndarray, coeffs: np.ndarray):
+    """Sort the codes, sum the coefficients of equal codes, drop zero sums."""
+    order = np.argsort(codes)
+    codes, coeffs = codes[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    keep = sums != 0
+    return codes[starts][keep], sums[keep]
 
 
 def poly_compose(f: DepthPoly, g: DepthPoly) -> DepthPoly:

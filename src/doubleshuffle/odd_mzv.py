@@ -20,7 +20,7 @@ from .ihara import DepthPoly, depth1_action, depth1_generator
 from .series import DimTable, bk_series
 from .words import compositions  # the fixed matrix indexing (lex order)
 
-MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~50 s, 148 MB on one 2-vCPU core
+MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~40 s, 115 MB on one 2-vCPU core
 
 
 def nested_action(m: tuple[int, ...]) -> DepthPoly:
@@ -35,21 +35,28 @@ def _coefficient(m: tuple[int, ...], n: tuple[int, ...], memo: dict) -> int:
     """Coefficient of x^{2n} in the nested action of m.  x_1^{2k} (k = m_1)
     acts on g as the sum over i of ((x_i - x_{i-1})^{2k} - (x_i - x_{i+1})^{2k})
     g(x without x_i), x_0 = 0, no x_{r+1}: x_i^{2 n_i} comes from the factor
-    alone, with C(2k, 2 n_i), and lowers a neighbour in g by 2k - 2 n_i."""
+    alone, with C(2k, 2 n_i), and lowers a neighbour in g by 2k - 2 n_i.
+    Only the lower-depth coefficients go into ``memo``: a matrix reads
+    each of its own entries once."""
     if len(m) == 1:
         return int(m == n)
+    k, rest = m[0], m[1:]
+    total = _memoized(rest, n[1:], memo) if n[0] == k else 0
+    for i, d in ((i, k - ni) for i, ni in enumerate(n) if ni <= k):
+        if 0 < i and n[i - 1] >= d:
+            total += comb(2 * k, 2 * n[i]) * _memoized(
+                rest, n[:i - 1] + (n[i - 1] - d,) + n[i + 1:], memo)
+        if i + 1 < len(n) and n[i + 1] >= d:
+            total -= comb(2 * k, 2 * n[i]) * _memoized(
+                rest, n[:i] + (n[i + 1] - d,) + n[i + 2:], memo)
+    return total
+
+
+def _memoized(m: tuple[int, ...], n: tuple[int, ...], memo: dict) -> int:
+    """_coefficient(m, n), memoized."""
     total = memo.get((m, n))
     if total is None:
-        k, rest = m[0], m[1:]
-        total = _coefficient(rest, n[1:], memo) if n[0] == k else 0
-        for i, d in ((i, k - ni) for i, ni in enumerate(n) if ni <= k):
-            if 0 < i and n[i - 1] >= d:
-                total += comb(2 * k, 2 * n[i]) * _coefficient(
-                    rest, n[:i - 1] + (n[i - 1] - d,) + n[i + 1:], memo)
-            if i + 1 < len(n) and n[i + 1] >= d:
-                total -= comb(2 * k, 2 * n[i]) * _coefficient(
-                    rest, n[:i] + (n[i + 1] - d,) + n[i + 2:], memo)
-        memo[m, n] = total
+        total = memo[m, n] = _coefficient(m, n, memo)
     return total
 
 

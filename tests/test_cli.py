@@ -148,6 +148,23 @@ def test_argv_faults_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+def test_bracket_weight_bound(capsys, monkeypatch):
+    # past MAX_BRACKET_WEIGHT: rejected before anything is evaluated
+    def evaluate(node):
+        raise AssertionError("evaluated past the weight bound")
+
+    monkeypatch.setattr(cli, "_evaluate_bracket", evaluate)
+    for expr in ("{3,{3,{3,{3,{3,{3,{5,7}}}}}}}", "{e12,e16}"):
+        code, out = run(capsys, "bracket", "--expr", expr)
+        assert code == 2, expr
+        assert out == "", expr
+    # at the bound the expression is accepted and evaluated
+    monkeypatch.setattr(cli, "_evaluate_bracket",
+                        lambda node: cli.depth1_generator(3))
+    code, out = run(capsys, "bracket", "--expr", "{3,{3,{3,{3,{3,{3,{3,5}}}}}}}")
+    assert code == 0 and out
+
+
 def test_jobs_above_cap_is_usage_error(capsys, monkeypatch):
     # rejected while reading argv: no worker pool may be started
     monkeypatch.setattr(cli, "ProcessPoolExecutor", None)

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -432,6 +433,15 @@ def test_nullspace_and_span_of_no_rows():
     assert nullspace_int([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert nullspace_int([[0, 0, 0]], 3) == nullspace_int([], 3)
     assert span_rref([], 4) == []
+
+
+def test_primes_match_trial_division():
+    expected, n = [], _PRIME
+    while len(expected) < 60:
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            expected.append(n)
+        n -= 2
+    assert list(islice(exact_algebra._primes(), 60)) == expected
 
 
 def test_nullspace_uncertified_past_the_bound_raises(monkeypatch):

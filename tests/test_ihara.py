@@ -3,11 +3,14 @@ dihedral-space membership and the depth-1 action."""
 
 import random
 from fractions import Fraction
+from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doubleshuffle import ihara
 from doubleshuffle.double_shuffle import partial_sum_transform, solve
 from doubleshuffle.exact_algebra import Poly
 from doubleshuffle.exceptional import exceptional_elements
@@ -82,6 +85,123 @@ def test_compose_restricted_matches_full_lift(compose_pool):
             assert is_settled(composed)
 
 
+def compose_by_dict(F, G):
+    """Independent oracle for compose_lifted: every placed product summed
+    into a dict one monomial at a time."""
+    r, s = F.arity - 1, G.arity - 1
+    sign = -1 if (F.homogeneous_degree() + r) % 2 else 1
+    fterms, gterms = F.terms.items(), G.terms.items()
+    pad = (0,) * r
+    placements = []
+    for i in range(s + 1):
+        placements.append(
+            ([((0,) * i + ea + (0,) * (s - i), ca) for ea, ca in fterms],
+             [(eb[:i + 1] + pad + eb[i + 1:], cb) for eb, cb in gterms]))
+    for i in range(1, s + 1):
+        placements.append(
+            ([((0,) * i + ea[::-1] + (0,) * (s - i), sign * ca)
+              for ea, ca in fterms],
+             [(eb[:i] + pad + eb[i:], cb) for eb, cb in gterms]))
+    out = {}
+    for fplaced, gplaced in placements:
+        for ea, ca in fplaced:
+            for eb, cb in gplaced:
+                key = tuple(map(add, ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+    return Poly(r + s + 1, out)
+
+
+def assert_composes_like_dict(F, G):
+    composed = compose_lifted(F, G)
+    assert composed == compose_by_dict(F, G)
+    assert is_settled(composed)
+    assert all(type(e) is int for exps in composed.terms for e in exps)
+
+
+def test_compose_lifted_matches_dict_oracle(compose_pool):
+    # on the operands poly_compose passes
+    for f in compose_pool:
+        for g in compose_pool:
+            assert_composes_like_dict(f.lift(), g.body.embed(g.depth + 1, 1))
+
+
+# ints, Fractions and ints beyond int64
+KERNEL_COEFFS = st.one_of(st.integers(-6, 6),
+                          st.fractions(-3, 3, max_denominator=4),
+                          st.integers(2 ** 62, 2 ** 66).map(lambda c: c * 3 - 2 ** 67))
+
+
+@st.composite
+def homogeneous_polys(draw, arity, max_deg=4, max_terms=6):
+    degree = draw(st.integers(0, max_deg))
+    cuts = st.lists(st.integers(0, degree), min_size=arity - 1,
+                    max_size=arity - 1).map(sorted)
+    exps = cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, degree])))
+    return Poly(arity, draw(st.dictionaries(exps, KERNEL_COEFFS,
+                                            max_size=max_terms)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), arity_f=st.integers(1, 4), arity_g=st.integers(1, 4))
+def test_compose_lifted_property(data, arity_f, arity_g):
+    # F homogeneous (arity 1 is the lift of UNIT), G any polynomial
+    F = data.draw(homogeneous_polys(arity_f))
+    exps = st.tuples(*[st.integers(0, 3)] * arity_g)
+    G = Poly(arity_g, data.draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=6)))
+    assert_composes_like_dict(F, G)
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The (code, coefficient) dtypes of every reduction compose_lifted runs."""
+    seen = []
+
+    def recorded(codes, coeffs):
+        seen.append((codes.dtype, coeffs.dtype))
+        return sum_equal_codes(codes, coeffs)
+
+    sum_equal_codes = ihara._sum_equal_codes
+    monkeypatch.setattr(ihara, "_sum_equal_codes", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("F, G, dtypes", [
+    (Poly(2, {(2, 0): 3, (1, 1): -2}), Poly(2, {(0, 4): 5, (1, 0): 1}),
+     (np.int64, np.int64)),
+    (Poly(2, {(2, 0): Fraction(1, 3)}), Poly(2, {(0, 4): 5, (3, 0): 1}),
+     (np.int64, object)),
+    # max|c_F| max|c_G| (2s+1) min(|F|, |G|) = 2^61 * 3 * 2 >= 2^63
+    (Poly(2, {(2, 0): 2 ** 30, (0, 2): 1}), Poly(2, {(0, 4): 2 ** 31, (1, 0): 1}),
+     (np.int64, object)),
+    # b = 2^21 + 2^21 + 1 at arity 3: b^3 >= 2^63
+    (Poly(2, {(2 ** 21, 0): 1, (0, 2 ** 21): -1}), Poly(2, {(2 ** 21, 0): 7}),
+     (object, np.int64)),
+    (Poly(1, {(2 ** 80,): 2}), Poly(1, {(1,): Fraction(1, 2), (0,): 2 ** 70}),
+     (object, object)),
+])
+def test_compose_lifted_dtype_paths(kernel_dtypes, F, G, dtypes):
+    assert_composes_like_dict(F, G)
+    assert kernel_dtypes == [tuple(map(np.dtype, dtypes))]
+
+
+def test_compose_lifted_in_chunks(kernel_dtypes, monkeypatch):
+    # 2 products per chunk: each chunk is summed into the reduced ones
+    monkeypatch.setattr(ihara, "_CHUNK", 2)
+    F = Poly(3, {(2, 1, 0): 1, (0, 1, 2): Fraction(-1, 2), (1, 1, 1): 3})
+    G = Poly(2, {(1, 0): 2, (0, 1): -1, (2, 2): 1})
+    assert_composes_like_dict(F, G)
+    assert_composes_like_dict(F, G.scale(Fraction(2, 3)))
+    assert_composes_like_dict(F.scale(2), G)
+    assert len(kernel_dtypes) == 3 * 3 * len(F)
+
+
+def test_compose_lifted_needs_homogeneous_f():
+    with pytest.raises(ValueError):
+        compose_lifted(Poly(2, {(1, 0): 1, (2, 0): 1}), Poly(1, {(1,): 1}))
+    with pytest.raises(ValueError):
+        compose_lifted(Poly(0, {(): 1}), Poly(1, {(1,): 1}))
+
+
 def test_integral_results_have_int_coefficients():
     [e12] = exceptional_elements(12)
     body = e12.reduced.body
@@ -151,6 +271,14 @@ SMALL_ELEMENTS = st.one_of(GENERATORS,
 @given(f=SMALL_ELEMENTS, g=SMALL_ELEMENTS)
 def test_bracket_antisymmetry_property(f, g):
     assert bracket(f, g).body == bracket(g, f).scale(-1).body
+
+
+@settings(max_examples=20, deadline=None)
+@given(f=SMALL_ELEMENTS, g=SMALL_ELEMENTS, h=SMALL_ELEMENTS)
+def test_jacobi_property(f, g, h):
+    total = (bracket(f, bracket(g, h)) + bracket(g, bracket(h, f))
+             + bracket(h, bracket(f, g)))
+    assert total.is_zero()
 
 
 def test_jacobi_small():
