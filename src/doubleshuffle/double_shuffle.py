@@ -75,17 +75,17 @@ def partial_sum_transform(f: Poly) -> Poly:
     return f
 
 
-def assemble_constraints(N: int, r: int) -> tuple[list[tuple[int, ...]],
+def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
                                                  list[tuple[int, ...]]]:
-    """Distinct integer constraint rows on the monomial coefficient vector,
-    and the monomials indexing its columns."""
+    """Distinct nonzero integer constraint rows on the monomial coefficient
+    vector, as one array, and the monomials indexing its columns."""
     if r < 1 or N < r:
         raise ValueError(f"invalid weight/depth ({N}, {r})")
     monomials = monomial_basis(N, r)
     ncols = len(monomials)
     if r == 1:
         # the single unknown is forced to zero at even weight and weight 1
-        return [(1,)] if N % 2 == 0 or N == 1 else [], monomials
+        return np.ones((int(N % 2 == 0 or N == 1), 1), dtype=np.int64), monomials
 
     index = {m: j for j, m in enumerate(monomials)}
     # an expansion coefficient is at most r^(N-r) (set every x_j = 1), and a
@@ -96,19 +96,23 @@ def assemble_constraints(N: int, r: int) -> tuple[list[tuple[int, ...]],
     for j, m in enumerate(monomials):
         for exps, c in partial_sum_transform(Poly.monomial(m)).terms.items():
             psum[index[exps], j] = c
-    bases = (np.eye(ncols, dtype=dtype), psum)
-    rows: dict[tuple[int, ...], None] = {}
+    # at degree 0 psum is the identity, and one family gives every row
+    bases = (np.eye(ncols, dtype=dtype), psum) if N > r else (psum,)
+    blocks = []
     for k in range(1, r // 2 + 1):
         # row t of a family sums, over the shuffles seq, the base row of the
         # monomial that seq relabels to t (position j goes to seq[j] - 1)
         sources = [list(map(index.__getitem__,
                             map(itemgetter(*(s - 1 for s in seq)), monomials)))
                    for seq in _label_shuffles(k, r)]
+        # at k = r/2 the two label blocks have equal length, so the rows of t
+        # and of t rotated by k coincide: keep the one of lower index
+        first = (np.arange(ncols) <= [index[m[k:] + m[:k]] for m in monomials]
+                 if 2 * k == r else True)
         for base in bases:
             family = sum(base[source] for source in sources)
-            family = family[family.any(axis=1)].tolist()
-            rows.update(dict.fromkeys(map(tuple, family)))
-    return list(rows), monomials
+            blocks.append(family[family.any(axis=1) & first])
+    return np.concatenate(blocks), monomials
 
 
 def solve(N: int, r: int) -> SolutionSpace:
@@ -257,8 +261,7 @@ def solve_words(N: int, r: int) -> list[Poly]:
                     if any(row):
                         row_set.add(tuple(row))
 
-    rows = [list(row) for row in sorted(row_set)]
-    vectors = nullspace_int(rows, ncols)
+    vectors = nullspace_int(sorted(row_set), ncols)
     out = []
     for vec in vectors:
         ws = WordSum(BINARY, {w: c for w, c in zip(words, vec) if c})

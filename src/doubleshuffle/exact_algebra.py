@@ -378,7 +378,9 @@ def divexact(p: Poly, q: Poly) -> Poly:
 
 def _int_array(rows, ncols: int) -> np.ndarray:
     """Integer rows as one int64 array, or as an ``object`` array of Python
-    ints when an entry does not fit in int64."""
+    ints when an entry does not fit in int64; such an array is kept as is."""
+    if isinstance(rows, np.ndarray) and rows.dtype in (np.int64, object):
+        return rows
     try:
         return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
     except OverflowError:
@@ -517,14 +519,14 @@ def _certified_basis(mat: np.ndarray, columns: list[list[Fraction]],
     return None if check.any() else basis
 
 
-def nullspace_int(rows: Sequence[Sequence[int]],
+def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
                   ncols: int) -> list[list[Fraction]]:
     """Exact nullspace basis of an integer row system, deterministically.
 
     The basis is the canonical one of the reduced row echelon form R: one
     vector per free column f, with 1 at f, 0 at every other free column
     and -R[:, f] at the pivots.  Each prime runs one mod-p elimination of
-    the distinct nonzero rows and back-eliminates its pivot rows to R mod
+    the nonzero rows and back-eliminates its pivot rows to R mod
     p.  A full mod-p rank proves the nullspace zero.  Otherwise the primes
     with the best key (highest rank, then lexicographically first pivot
     columns) are combined by CRT and rational reconstruction, and the
@@ -534,8 +536,10 @@ def nullspace_int(rows: Sequence[Sequence[int]],
     mod p is at least the nullity over Q, so the mod-p free columns are the
     free columns over Q and the vectors are exactly the canonical basis.
     """
-    mat = _int_array(list(dict.fromkeys(tuple(row) for row in rows if any(row))),
-                     ncols)
+    mat = _int_array(rows, ncols)
+    nonzero = mat.any(axis=1)
+    if not nonzero.all():
+        mat = mat[nonzero]
     amax = max(int(mat.max()), -int(mat.min())) if mat.size else 0
     # An unlucky prime divides a nonzero pivot minor, at most H (Hadamard,
     # H^2 <= h2), and reconstruction succeeds once the lucky primes exceed
@@ -593,9 +597,9 @@ def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
     return out
 
 
-def rank_bareiss(rows: list[list[int]]) -> int:
-    """Exact rank by fraction-free Bareiss elimination on integer rows."""
-    mat = [list(row) for row in rows if any(row)]
+def rank_bareiss(rows: np.ndarray | Sequence[Sequence[int]]) -> int:
+    """Exact rank by fraction-free Bareiss elimination, in Python ints."""
+    mat = [list(map(int, row)) for row in rows if any(row)]
     if not mat:
         return 0
     nrows = len(mat)

@@ -67,10 +67,10 @@ def _condition_rows(twoN: int, cuspidal: bool) -> tuple[list[list[int]], list[tu
 
     # antisymmetry and evenness are diagonal in the monomial basis
     for (a, b), j in col_of.items():
-        row = [0] * ncols
-        row[j] += 1
-        row[col_of[(b, a)]] += 1
-        if any(row):
+        if a <= b:  # (b, a) gives the same row
+            row = [0] * ncols
+            row[j] += 1
+            row[col_of[(b, a)]] += 1
             rows.append(row)
         if a % 2 or b % 2:
             row = [0] * ncols
@@ -78,19 +78,12 @@ def _condition_rows(twoN: int, cuspidal: bool) -> tuple[list[list[int]], list[tu
             rows.append(row)
 
     # three-term relation, one row per target monomial
-    family: dict[tuple[int, int], dict[int, int]] = {}
+    family: dict[tuple[int, int], list[int]] = {}
     for (a, b), j in col_of.items():
         image = _three_term(Poly.monomial((a, b)))
         for exps, coeff in image.terms.items():
-            assert coeff.denominator == 1
-            slot = family.setdefault(exps, {})
-            slot[j] = slot.get(j, 0) + int(coeff)
-    for key in sorted(family, key=grlex_key):
-        row = [0] * ncols
-        for j, c in family[key].items():
-            row[j] = c
-        if any(row):
-            rows.append(row)
+            family.setdefault(exps, [0] * ncols)[j] = coeff
+    rows.extend(family[key] for key in sorted(family, key=grlex_key))
 
     if cuspidal:
         row = [0] * ncols

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from math import comb
 
+from .period_poly import cusp_dimension
+
 DimTable = dict[tuple[int, int], int]
 
 
@@ -147,14 +149,11 @@ def eos(max_s: int = 40, max_t: int = 8) -> tuple[BiSeries, BiSeries, BiSeries]:
     """E = s^2/(1-s^2), O = s^3/(1-s^2), S = s^12/((1-s^4)(1-s^6))."""
     E = [0] * (max_s + 1)
     O = [0] * (max_s + 1)
-    S = [0] * (max_s + 1)
+    S = [cusp_dimension(n) for n in range(max_s + 1)]
     for n in range(2, max_s + 1, 2):
         E[n] = 1
     for n in range(3, max_s + 1, 2):
         O[n] = 1
-    for n in range(12, max_s + 1):
-        rest = n - 12
-        S[n] = sum(1 for a in range(rest // 4 + 1) if (rest - 4 * a) % 6 == 0)
     return (BiSeries.from_s_coeffs(E, max_s, max_t),
             BiSeries.from_s_coeffs(O, max_s, max_t),
             BiSeries.from_s_coeffs(S, max_s, max_t))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -93,9 +94,21 @@ def test_half_splits_give_every_split_row():
     # r = 2 assembles in int64 up to N = 63 and in the object dtype from N = 64
     cells += [(63, 2), (64, 2), (70, 2)]
     for N, r in cells:
-        rows, _ = assemble_constraints(N, r)
+        rows = list(map(tuple, assemble_constraints(N, r)[0].tolist()))
         assert len(set(rows)) == len(rows), (N, r)
         assert set(rows) == every_split_rows(N, r), (N, r)
+
+
+def test_assembly_returns_one_integer_array():
+    rows, monomials = assemble_constraints(14, 5)
+    assert rows.dtype == np.int64 and rows.shape[1] == len(monomials)
+    # entries may pass 2**63 from (64, 2) on: Python ints in an object array
+    rows, monomials = assemble_constraints(64, 2)
+    assert rows.dtype == object and rows.shape[1] == len(monomials)
+    assert {type(x) for x in rows.flat} == {int}
+    # depth 1: one row forcing the unknown to zero, or none
+    assert assemble_constraints(4, 1)[0].shape == (1, 1)
+    assert assemble_constraints(3, 1)[0].shape == (0, 1)
 
 
 def test_depth1_even_weight_full_rank():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,6 +271,18 @@ def test_rank_plus_nullity_and_orthogonality():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def test_rank_bareiss_of_int64_array_matches_lists():
+    # Bareiss products of entries near 2**31 overflow int64
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        rows = [[rng.choice((1, -1)) * rng.randint(2 ** 31 - 2 ** 16, 2 ** 31)
+                 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+        assert rank_bareiss(np.array(rows, dtype=np.int64)) == rank_bareiss(rows)
+
+
 def test_modular_rank_agrees_with_exact():
     rng = random.Random(11)
     for _ in range(40):
@@ -429,6 +442,27 @@ def test_nullspace_entries_beyond_int64():
     assert_canonical_nullspace(rows, 3, basis)
 
 
+def test_nullspace_takes_integer_arrays_as_they_are(monkeypatch):
+    # an int64 or object array reaches the mod-p pass uncopied unless it has
+    # zero rows, which are dropped from a copy
+    seen = []
+    modp = exact_algebra._modp_pivot_rows
+
+    def recording(mat, *args):
+        seen.append(mat)
+        return modp(mat, *args)
+
+    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", recording)
+    for array in (np.array([[1, -1, 0], [2, -2, 0]]),
+                  np.array([[1, -1, 0], [2, -2, 0]], dtype=object)):
+        assert nullspace_int(array, 3) == [[1, 1, 0], [0, 0, 1]]
+        assert seen[-1] is array
+    array = np.array([[0, 0, 0], [1, -1, 0], [0, 0, 0]])
+    assert nullspace_int(array, 3) == [[1, 1, 0], [0, 0, 1]]
+    assert seen[-1].tolist() == [[1, -1, 0]]
+    assert array.tolist() == [[0, 0, 0], [1, -1, 0], [0, 0, 0]]
+
+
 def test_nullspace_and_span_of_no_rows():
     assert nullspace_int([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert nullspace_int([[0, 0, 0]], 3) == nullspace_int([], 3)
@@ -468,6 +502,11 @@ def test_nullspace_kernel_properties(seed, ncols, nrows, rank, repeats,
     basis = nullspace_int(rows, ncols)
     assert_canonical_nullspace(rows, ncols, basis)
     assert rank_modular(rows, ncols) <= rank_bareiss(rows)
+    # the same rows as one int64 array, once and repeated; the array is kept
+    array = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    assert nullspace_int(array, ncols) == basis
+    assert nullspace_int(np.concatenate([array, array]), ncols) == basis
+    assert array.tolist() == rows
     # span_rref reads the reduced form off the same basis
     rref = span_rref(rows, ncols)
     assert len(rref) + len(basis) == ncols

@@ -79,6 +79,39 @@ def test_shuffle_preserves_weight_and_depth():
             assert depth(word) == depth(a) + depth(b)
 
 
+@st.composite
+def shuffle_words(draw, count):
+    """An alphabet and ``count`` short words on it: binary words of 0s and
+    1s, or index words of entries 1..4."""
+    alphabet = draw(st.sampled_from([BINARY, INDEX]))
+    letters = st.integers(0, 1) if alphabet == BINARY else st.integers(1, 4)
+    word = st.lists(letters, max_size=3).map(tuple)
+    return alphabet, [draw(word) for _ in range(count)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(words=shuffle_words(2))
+def test_shuffle_commutative_property(words):
+    alphabet, (a, b) = words
+    assert shuffle(a, b, alphabet) == shuffle(b, a, alphabet)
+
+
+@settings(max_examples=30, deadline=None)
+@given(words=shuffle_words(3))
+def test_shuffle_associative_property(words):
+    alphabet, (a, b, c) = words
+    assert shuffle(shuffle(a, b, alphabet), WordSum.single(c, alphabet)) == \
+        shuffle(WordSum.single(a, alphabet), shuffle(b, c, alphabet))
+
+
+@settings(max_examples=30, deadline=None)
+@given(words=shuffle_words(1))
+def test_shuffle_unit_property(words):
+    alphabet, (a,) = words
+    assert shuffle((), a, alphabet) == shuffle(a, (), alphabet) == \
+        WordSum.single(a, alphabet)
+
+
 # -- stuffle --------------------------------------------------------------
 
 def test_stuffle_y1_y1():
