@@ -96,8 +96,6 @@ def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
     for j, m in enumerate(monomials):
         for exps, c in partial_sum_transform(Poly.monomial(m)).terms.items():
             psum[index[exps], j] = c
-    # at degree 0 psum is the identity, and one family gives every row
-    bases = (np.eye(ncols, dtype=dtype), psum) if N > r else (psum,)
     blocks = []
     for k in range(1, r // 2 + 1):
         # row t of a family sums, over the shuffles seq, the base row of the
@@ -109,9 +107,13 @@ def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
         # and of t rotated by k coincide: keep the one of lower index
         first = (np.arange(ncols) <= [index[m[k:] + m[:k]] for m in monomials]
                  if 2 * k == r else True)
-        for base in bases:
-            family = sum(base[source] for source in sources)
+        if N > r:  # else psum is the identity, and its family gives every row
+            # row t of the identity's family is 1 at each source[t]: a scatter
+            family = np.zeros((ncols, ncols), dtype=dtype)
+            np.add.at(family, (np.arange(ncols), sources), 1)
             blocks.append(family[family.any(axis=1) & first])
+        family = sum(psum[source] for source in sources)
+        blocks.append(family[family.any(axis=1) & first])
     return np.concatenate(blocks), monomials
 
 

@@ -11,7 +11,8 @@ and rational reconstruction, then certified by integer dot products) and
 the reduced echelon form read off it (``span_rref``).  Exact ranks come
 from fraction-free Bareiss elimination; a mod-p rank is a lower bound.
 
-No floating point is used anywhere.
+Floating point is used only for the mod-p matrix products, in float64,
+where every partial sum is an integer below 2^53 and so is exact.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ Rational = Fraction
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 
-# The first prime of the mod-p passes.  Products of two reduced residues
-# fit in int64, so numpy arithmetic below is exact.
-_PRIME = 2147483647
+# The first prime of the mod-p passes, the largest below 2^20.  A float64
+# sum of up to _CHUNK products of two residues is an exact integer below
+# 2^53, whatever the order of summation.
+_PRIME = 1048573
+_CHUNK = 8192
 
 
 def format_rational(q: Coeff) -> str:
@@ -388,77 +391,65 @@ def _int_array(rows, ncols: int) -> np.ndarray:
 
 
 def _primes():
-    """``_PRIME``, then the primes below it in decreasing order."""
+    """``_PRIME``, then the primes below it in decreasing order, by trial
+    division (at most 512 odd divisors below 2^20)."""
     n = _PRIME
     while True:
-        if _is_prime(n):
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
             yield n
         n -= 2
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 7 and 61, exact for odd 61 < n <
-    4,759,123,141 (Jaeschke 1993), so for every odd candidate of _primes."""
-    d, twos = n - 1, 0
-    while d % 2 == 0:
-        d, twos = d // 2, twos + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 residues, as float64 products over at most
+    _CHUNK terms of the inner dimension at a time, which are exact."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(0, a.shape[1], _CHUNK):
+        out += (a[:, k:k + _CHUNK].astype(float)
+                @ b[k:k + _CHUNK].astype(float)).astype(np.int64) % p
+    return out % p
 
 
-def _modp_pivot_rows(mat: np.ndarray, ncols: int,
-                     p: int = _PRIME) -> dict[int, np.ndarray]:
-    """Gaussian elimination mod p of an integer row array; returns the
-    pivot rows keyed by pivot column, so the mod-p rank is their number.
+def _modp_rref(mat: np.ndarray, ncols: int,
+               p: int) -> tuple[list[int], np.ndarray]:
+    """Reduced row echelon form mod p of an integer row array: the pivot
+    columns ascending, and int64 rows, row i 1 at cols[i] and 0 at the other
+    pivot columns.  The mod-p rank is their number.
 
-    Deterministic.  The rows are taken in order, 64 at a time, and the
-    pass stops once the rank is ncols.  A block is first reduced by the
-    pivot rows found so far, in increasing pivot column (each is zero left
-    of its pivot column, so this clears every pivot column), then its
-    columns are scanned left to right and the first usable row becomes the
-    pivot.  Each pivot row is 1 at its column, 0 left of it and 0 at every
-    pivot column found before it.
+    Deterministic blocked Gauss-Jordan.  The rows are taken in order, 64 at
+    a time, until the rank is ncols.  One product reduces a block by all
+    earlier rows.  Then, row by row, the first nonzero entry of a row is a
+    pivot, cleared from the other rows of the block.  One more product
+    clears the block's new pivot columns from the earlier rows.
     """
-    pivots: dict[int, np.ndarray] = {}
+    red = np.zeros((min(len(mat), ncols), ncols), dtype=np.int64)
+    cols: list[int] = []
     for start in range(0, len(mat), 64):
-        if len(pivots) == ncols:
+        rank = len(cols)
+        if rank == ncols:
             break
         block = np.asarray(mat[start:start + 64] % p, dtype=np.int64)
-        for c in sorted(pivots):
-            _eliminate_modp(block, pivots[c], c, p)
-        r = 0
-        for c in range(ncols):
-            if r == len(block):
-                break
-            nz = np.nonzero(block[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                block[[r, i]] = block[[i, r]]
-            block[r, c:] = block[r, c:] * pow(int(block[r, c]), p - 2, p) % p
-            pivots[c] = block[r]
-            _eliminate_modp(block[r + 1:], block[r], c, p)
-            r += 1
-    return pivots
-
-
-def _eliminate_modp(block: np.ndarray, pivot_row: np.ndarray, c: int,
-                    p: int) -> None:
-    """Clear column c of ``block`` with ``pivot_row`` (1 at c, 0 left of c)."""
-    nz = np.nonzero(block[:, c])[0]
-    if nz.size:
-        sub = block[nz, c:]
-        block[nz, c:] = (sub - sub[:, :1] * pivot_row[c:]) % p
+        if rank:
+            block = (block - _mulmod(block[:, cols], red[:rank], p)) % p
+        new = []
+        for i, row in enumerate(block):
+            nz = np.flatnonzero(row)
+            if nz.size:
+                c = int(nz[0])
+                row[c:] = row[c:] * pow(int(row[c]), p - 2, p) % p
+                hit = np.flatnonzero(block[:, c])
+                hit = hit[hit != i]
+                block[hit, c:] = (block[hit, c:] - block[hit, c:c + 1] * row[c:]) % p
+                new.append(i)
+                cols.append(c)
+        if new:
+            # the new rows are 0 left of their leftmost pivot column c
+            c = min(cols[rank:])
+            fresh = block[new, c:]
+            red[:rank, c:] = (red[:rank, c:]
+                              - _mulmod(red[:rank, cols[rank:]], fresh, p)) % p
+            red[rank:len(cols), c:] = fresh
+    return sorted(cols), red[np.argsort(cols)]
 
 
 def _rational(x: int, m: int) -> Fraction | None:
@@ -525,9 +516,9 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
 
     The basis is the canonical one of the reduced row echelon form R: one
     vector per free column f, with 1 at f, 0 at every other free column
-    and -R[:, f] at the pivots.  Each prime runs one mod-p elimination of
-    the nonzero rows and back-eliminates its pivot rows to R mod
-    p.  A full mod-p rank proves the nullspace zero.  Otherwise the primes
+    and -R[:, f] at the pivots.  Each prime runs one mod-p Gauss-Jordan
+    pass over the nonzero rows, which gives R mod p.  A full mod-p rank
+    proves the nullspace zero.  Otherwise the primes
     with the best key (highest rank, then lexicographically first pivot
     columns) are combined by CRT and rational reconstruction, and the
     vectors are returned once every row times every vector is exactly 0.
@@ -547,19 +538,14 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
     h2 = (ncols * amax * amax) ** min(mat.shape)
     tried, best = 1, None
     for p in _primes():
-        pivots = _modp_pivot_rows(mat, ncols, p)
-        if len(pivots) == ncols:
+        cols, red = _modp_rref(mat, ncols, p)
+        if len(cols) == ncols:
             return []
-        cols = sorted(pivots)
         key = (-len(cols), cols)
         if best is None or key < best:
             best, residues, m, hard = key, 0, 1, 0
         if key == best:
-            red = np.array([pivots[c] for c in cols],
-                           dtype=np.int64).reshape(len(cols), ncols)
-            for i in reversed(range(len(cols))):
-                _eliminate_modp(red[:i], red[i], cols[i], p)
-            free = [f for f in range(ncols) if f not in pivots]
+            free = sorted(set(range(ncols)).difference(cols))
             res = (-red[:, free] % p).astype(object)
             residues = residues + m * ((res - residues) * pow(m, -1, p) % p)
             m *= p
@@ -632,7 +618,7 @@ def rank_bareiss(rows: np.ndarray | Sequence[Sequence[int]]) -> int:
 
 def rank_modular(rows: list[list[int]], ncols: int, p: int = _PRIME) -> int:
     """Rank mod p.  Always a lower bound for the rank over Q."""
-    return len(_modp_pivot_rows(_int_array(rows, ncols), ncols, p))
+    return len(_modp_rref(_int_array(rows, ncols), ncols, p)[0])
 
 
 def full_rank_certificate(rows: list[list[int]], ncols: int) -> bool:

@@ -83,6 +83,8 @@ def _condition_rows(twoN: int, cuspidal: bool) -> tuple[list[list[int]], list[tu
         image = _three_term(Poly.monomial((a, b)))
         for exps, coeff in image.terms.items():
             family.setdefault(exps, [0] * ncols)[j] = coeff
+    # the targets X^d and Y^d (d even) give the same row: keep Y^d's
+    del family[(degree, 0)]
     rows.extend(family[key] for key in sorted(family, key=grlex_key))
 
     if cuspidal:

@@ -197,13 +197,13 @@ def test_dimension_makes_one_modp_pass(monkeypatch):
     # the mod-p pass inside nullspace_int both certifies zero and selects the
     # pivot rows, so no cell runs it twice
     calls = []
-    modp = exact_algebra._modp_pivot_rows
+    modp = exact_algebra._modp_rref
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return modp(*args, **kwargs)
 
-    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted)
+    monkeypatch.setattr(exact_algebra, "_modp_rref", counted)
     for N, r, dim in [(14, 4, 1), (13, 5, 0)]:
         calls.clear()
         assert dimension(N, r) == dim

@@ -363,17 +363,86 @@ def low_rank_rows(rng, nrows, ncols, rank, first_col=0):
     return rows
 
 
+def rref_modp_oracle(rows, ncols, p):
+    """Reduced row echelon form mod p by Gauss-Jordan elimination over
+    Python ints, one row at a time: the pivot columns ascending and the
+    reduced rows in that order."""
+    reduced, pivots = [], []
+    for row in rows:
+        vec = [x % p for x in row]
+        for prow, c in zip(reduced, pivots):
+            vec = [(a - vec[c] * b) % p for a, b in zip(vec, prow)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        inv = pow(vec[lead], -1, p)
+        vec = [x * inv % p for x in vec]
+        reduced = [[(a - prow[lead] * b) % p for a, b in zip(prow, vec)]
+                   for prow in reduced]
+        reduced.append(vec)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [pivots[i] for i in order], [reduced[i] for i in order]
+
+
+def test_mulmod_is_exact_past_the_chunk_size():
+    # one float64 sum of more than _CHUNK such products would pass 2**53
+    p, k = _PRIME, 2 * exact_algebra._CHUNK + 5
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 3), p - 1, dtype=np.int64)
+    assert exact_algebra._mulmod(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 3] * 2
+    rng = np.random.default_rng(29)
+    a = rng.integers(p - 2 ** 10, p, size=(3, k), dtype=np.int64)
+    b = rng.integers(p - 2 ** 10, p, size=(k, 4), dtype=np.int64)
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert exact_algebra._mulmod(a, b, p).tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ncols=st.integers(1, 40),
+       sizes=st.tuples(st.integers(0, 90), st.integers(0, 90)),
+       ranks=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       extras=st.lists(st.sampled_from(["zero", "multiple", "huge"]),
+                       max_size=6),
+       p=st.sampled_from([_PRIME, 7]))
+def test_modp_rref_matches_oracle(seed, ncols, sizes, ranks, extras, p):
+    # the second group of rows reaches columns left of the first, so later
+    # 64-row blocks add pivots left of earlier ones; zero rows, multiples of
+    # p and entries beyond int64 go anywhere
+    rng = random.Random(seed)
+    first_col = rng.randint(0, ncols - 1)
+    rows = (low_rank_rows(rng, sizes[0], ncols, min(ranks[0], ncols), first_col)
+            + low_rank_rows(rng, sizes[1], ncols, min(ranks[1], ncols)))
+    for kind in extras:
+        row = [{"zero": 0, "multiple": p * rng.randint(-2 ** 62, 2 ** 62),
+                "huge": rng.randint(-2 ** 70, 2 ** 70)}[kind]
+               for _ in range(ncols)]
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    mat = exact_algebra._int_array(rows, ncols)
+    cols, red = exact_algebra._modp_rref(mat, ncols, p)
+    assert (cols, red.tolist()) == rref_modp_oracle(rows, ncols, p)
+    assert red.dtype == np.int64 and red.shape == (len(cols), ncols)
+
+
+def test_modp_rref_stops_at_full_rank():
+    # the rows after the block that reaches rank ncols are never read
+    mat = np.empty((200, 3), dtype=object)
+    mat[:64] = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [5, 5, 6]] * 16
+    cols, red = exact_algebra._modp_rref(mat, 3, _PRIME)
+    assert cols == [0, 1, 2] and red.tolist() == np.eye(3, dtype=int).tolist()
+
+
 def count_modp_passes(monkeypatch):
     """Record the rank of every mod-p pass that ``nullspace_int`` runs."""
     ranks = []
-    modp = exact_algebra._modp_pivot_rows
+    modp = exact_algebra._modp_rref
 
     def counted(*args, **kwargs):
-        pivots = modp(*args, **kwargs)
-        ranks.append(len(pivots))
-        return pivots
+        cols, red = modp(*args, **kwargs)
+        ranks.append(len(cols))
+        return cols, red
 
-    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", counted)
+    monkeypatch.setattr(exact_algebra, "_modp_rref", counted)
     return ranks
 
 
@@ -390,7 +459,7 @@ def test_nullspace_lucky_primes_are_canonical(monkeypatch):
     # every prime is lucky here; the dense rank-25 system has minors too
     # large for one prime, so its passes accumulate by CRT
     rng = random.Random(13)
-    for nrows, ncols, rank, npasses in [(110, 40, 25, 5), (90, 50, 50, 1),
+    for nrows, ncols, rank, npasses in [(110, 40, 25, 7), (90, 50, 50, 1),
                                         (70, 60, 3, 1)]:
         rows = low_rank_rows(rng, nrows, ncols, rank)
         ranks = count_modp_passes(monkeypatch)
@@ -446,13 +515,13 @@ def test_nullspace_takes_integer_arrays_as_they_are(monkeypatch):
     # an int64 or object array reaches the mod-p pass uncopied unless it has
     # zero rows, which are dropped from a copy
     seen = []
-    modp = exact_algebra._modp_pivot_rows
+    modp = exact_algebra._modp_rref
 
     def recording(mat, *args):
         seen.append(mat)
         return modp(mat, *args)
 
-    monkeypatch.setattr(exact_algebra, "_modp_pivot_rows", recording)
+    monkeypatch.setattr(exact_algebra, "_modp_rref", recording)
     for array in (np.array([[1, -1, 0], [2, -2, 0]]),
                   np.array([[1, -1, 0], [2, -2, 0]], dtype=object)):
         assert nullspace_int(array, 3) == [[1, 1, 0], [0, 0, 1]]
@@ -476,6 +545,11 @@ def test_primes_match_trial_division():
             expected.append(n)
         n -= 2
     assert list(islice(exact_algebra._primes(), 60)) == expected
+    # _PRIME is the largest prime below 2**20, so a float64 sum of _CHUNK
+    # products of residues stays below 2**53
+    assert all(any(n % d == 0 for d in range(2, isqrt(n) + 1))
+               for n in range(_PRIME + 1, 2 ** 20))
+    assert exact_algebra._CHUNK * (_PRIME - 1) ** 2 < 2 ** 53
 
 
 def test_nullspace_uncertified_past_the_bound_raises(monkeypatch):

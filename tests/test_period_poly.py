@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from doubleshuffle.exact_algebra import Poly, divexact
-from doubleshuffle.period_poly import (basis_S, basis_W, cusp_dimension,
+from doubleshuffle.period_poly import (_condition_rows, _three_term, basis_S,
+                                       basis_W, cusp_dimension,
                                        from_polynomial, integral_generators,
                                        primitive_integral)
 
@@ -32,6 +33,18 @@ def test_basis_W_dimensions():
     assert len(basis_W(4)) == 1
     for two_n in range(4, 31, 2):
         assert len(basis_W(two_n)) == cusp_dimension(two_n) + 1
+
+
+def test_condition_rows_are_distinct():
+    # the three-term rows for the targets X^d and Y^d coincide, and the
+    # X^d condition is still imposed through the one row kept
+    for two_n in range(12, 42, 2):
+        for cuspidal in (False, True):
+            rows, monos = _condition_rows(two_n, cuspidal)
+            assert len(set(map(tuple, rows))) == len(rows), (two_n, cuspidal)
+            x_row = [_three_term(Poly.monomial(m)).coefficient((two_n - 2, 0))
+                     for m in monos]
+            assert x_row in rows, (two_n, cuspidal)
 
 
 def test_reference_polynomial_satisfies_conditions():
