@@ -332,11 +332,12 @@ def _check_bounds(max_weight: int, max_depth: int,
         raise UsageError(f"max-depth must be in 1..{depth_bound}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, jobs: bool = False) -> None:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers over independent cells")
+    if jobs:  # only the commands that map independent cells
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel workers over independent cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="dimension table of the solution spaces")
     p.add_argument("--max-weight", type=int, default=12)
     p.add_argument("--max-depth", type=int, default=4)
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("span", help="dimensions of iterated depth-1 bracket spans")
     p.add_argument("--max-weight", type=int, default=12)
     p.add_argument("--max-depth", type=int, default=4)
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_span)
 
     p = sub.add_parser("exceptional", help="dump exceptional depth-4 elements")
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=16)
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--target", choices=("ls", "odd", "full-t1"), default="ls")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_bk_check)
 
     p = sub.add_parser("bracket", help="evaluate a bracket expression, "
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.jobs <= MAX_JOBS:
+        if not 1 <= getattr(args, "jobs", 1) <= MAX_JOBS:
             raise UsageError(f"--jobs must be in 1..{MAX_JOBS}")
         return args.fn(args)
     except UsageError as exc:

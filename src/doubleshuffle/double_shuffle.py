@@ -34,8 +34,8 @@ import numpy as np
 from .exact_algebra import (Poly, full_rank_certificate, nullspace_int,
                             span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
-from .words import (BINARY, WordSum, _shuffle_words, compositions,
-                    index_word_to_binary, reduced_rep)
+from .words import (_shuffle_words, compositions, index_word_to_binary,
+                    word_exponents)
 
 
 @dataclass
@@ -263,13 +263,8 @@ def solve_words(N: int, r: int) -> list[Poly]:
                     if any(row):
                         row_set.add(tuple(row))
 
-    vectors = nullspace_int(sorted(row_set), ncols)
-    out = []
-    for vec in vectors:
-        ws = WordSum(BINARY, {w: c for w, c in zip(words, vec) if c})
-        reduced = Poly.zero(r)
-        for word, coeff in ws.terms.items():
-            if word and word[0] == 1:
-                reduced = reduced + reduced_rep(word).scale(coeff)
-        out.append(reduced)
-    return out
+    # a word e1 e0^a_1 ... e1 e0^a_r reduces to x^(a_1..a_r), and a word
+    # starting with e0 to zero
+    reduced = [word_exponents(w)[1:] if w[:1] == (1,) else None for w in words]
+    return [Poly(r, {m: c for m, c in zip(reduced, vec) if c and m is not None})
+            for vec in nullspace_int(sorted(row_set), ncols)]

@@ -205,14 +205,7 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _cached_pow({0: Poly.constant(self.arity, 1), 1: self}, n)
 
     # -- structural operations ----------------------------------------
 
@@ -291,17 +284,6 @@ class Poly:
         post = (0,) * (arity - offset - self.arity)
         return Poly(arity, {pre + e + post: c for e, c in self.terms.items()},
                     _clean=True)
-
-    def partial(self, index: int) -> Poly:
-        """Partial derivative with respect to variable ``index``."""
-        out: dict[Exponent, Coeff] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            new = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[new] = out.get(new, 0) + coeff * e
-        return Poly(self.arity, out)
 
     # -- ordering and serialization ------------------------------------
 

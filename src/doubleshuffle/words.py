@@ -13,11 +13,12 @@ combinatorial component of the infinitesimal coaction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import combinations
+from operator import sub
+from typing import Callable, Iterable, Mapping
 
-from .exact_algebra import Poly
+from .exact_algebra import Coeff, Poly, _coeff
 
 BINARY = "binary"
 INDEX = "index"
@@ -37,12 +38,13 @@ def depth(word: Word, alphabet: str = BINARY) -> int:
 def compositions(total: int, parts: int) -> list[Word]:
     """Compositions of ``total`` into ``parts`` positive parts, in
     lexicographic order: the index words of weight ``total`` and depth
-    ``parts``."""
+    ``parts``.  Each is read off its cut points, the partial sums before
+    the last; lexicographic order on the cut points is lexicographic order
+    on the compositions."""
     if parts <= 0 or total < parts:
         return [()] if parts == total == 0 else []
-    return [(head,) + rest
-            for head in range(1, total - parts + 2)
-            for rest in compositions(total - head, parts - 1)]
+    return [tuple(map(sub, cuts + (total,), (0,) + cuts))
+            for cuts in combinations(range(1, total), parts - 1)]
 
 
 def word_to_str(word: Word, alphabet: str = BINARY) -> str:
@@ -61,32 +63,30 @@ def str_to_word(text: str, alphabet: str = BINARY) -> Word:
 
 
 class WordSum:
-    """Finite rational-linear combination of words over one alphabet."""
+    """Finite rational-linear combination of words over one alphabet; each
+    coefficient is an ``int`` when integral and a ``Fraction`` otherwise."""
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: str, terms: Mapping[Word, Fraction] | None = None):
+    def __init__(self, alphabet: str, terms: Mapping[Word, Coeff] | None = None):
         if alphabet not in (BINARY, INDEX):
             raise ValueError(f"unknown alphabet {alphabet!r}")
         self.alphabet = alphabet
-        clean: dict[Word, Fraction] = {}
+        clean: dict[Word, Coeff] = {}
         if terms:
             for word, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
                     clean[tuple(word)] = coeff
         self.terms = clean
 
     @staticmethod
     def single(word: Iterable[int], alphabet: str = BINARY, coeff=1) -> WordSum:
-        return WordSum(alphabet, {tuple(word): Fraction(coeff)})
-
-    def _check(self, other: WordSum) -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
+        return WordSum(alphabet, {tuple(word): coeff})
 
     def __add__(self, other: WordSum) -> WordSum:
-        self._check(other)
+        if self.alphabet != other.alphabet:
+            raise ValueError("alphabet mismatch")
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
             new = terms.get(word, 0) + coeff
@@ -100,7 +100,7 @@ class WordSum:
         return self + other.scale(-1)
 
     def scale(self, factor) -> WordSum:
-        factor = Fraction(factor)
+        factor = _coeff(factor)
         return WordSum(self.alphabet,
                        {w: c * factor for w, c in self.terms.items()})
 
@@ -114,8 +114,8 @@ class WordSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
+    def coefficient(self, word: Iterable[int]) -> Coeff:
+        return self.terms.get(tuple(word), 0)
 
     def __repr__(self) -> str:
         bits = [f"{c}*[{word_to_str(w, self.alphabet)}]"
@@ -127,6 +127,24 @@ class WordSum:
 # ---------------------------------------------------------------------
 # Shuffle and stuffle
 # ---------------------------------------------------------------------
+
+WordProduct = Callable[[Word, Word], tuple[tuple[Word, int], ...]]
+
+
+def _bilinear(product: WordProduct, a, b, alphabet: str) -> WordSum:
+    """Bilinear extension of a word product to words and WordSums on
+    ``alphabet``; a plain word is read on it, a WordSum must be on it."""
+    a, b = (x if isinstance(x, WordSum) else WordSum.single(x, alphabet)
+            for x in (a, b))
+    if a.alphabet != alphabet or b.alphabet != alphabet:
+        raise ValueError(f"expected {alphabet} words")
+    out: dict[Word, Coeff] = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            for word, mult in product(wa, wb):
+                out[word] = out.get(word, 0) + mult * ca * cb
+    return WordSum(alphabet, out)
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _shuffle_words(w: Word, v: Word) -> tuple[tuple[Word, int], ...]:
@@ -145,22 +163,11 @@ def _shuffle_words(w: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 
 
 def shuffle(w, v, alphabet: str = BINARY) -> WordSum:
-    """Shuffle product of two words (or WordSums) on a common alphabet."""
-    if isinstance(w, WordSum) or isinstance(v, WordSum):
-        if not isinstance(w, WordSum):
-            w = WordSum.single(w, v.alphabet)
-        if not isinstance(v, WordSum):
-            v = WordSum.single(v, w.alphabet)
-        w._check(v)
-        total = WordSum(w.alphabet)
-        for wa, ca in w.terms.items():
-            for wb, cb in v.terms.items():
-                part = {word: Fraction(mult) * ca * cb
-                        for word, mult in _shuffle_words(wa, wb)}
-                total = total + WordSum(w.alphabet, part)
-        return total
-    return WordSum(alphabet, {word: Fraction(mult)
-                              for word, mult in _shuffle_words(tuple(w), tuple(v))})
+    """Shuffle product of two words (or WordSums) on a common alphabet: that
+    of the first WordSum, or ``alphabet`` for two plain words."""
+    alphabet = next((x.alphabet for x in (w, v) if isinstance(x, WordSum)),
+                    alphabet)
+    return _bilinear(_shuffle_words, w, v, alphabet)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -184,20 +191,7 @@ def _stuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 
 def stuffle(u, v) -> WordSum:
     """Stuffle product of index words: shuffle plus index-summing contraction."""
-    if isinstance(u, WordSum) or isinstance(v, WordSum):
-        if not isinstance(u, WordSum):
-            u = WordSum.single(u, INDEX)
-        if not isinstance(v, WordSum):
-            v = WordSum.single(v, INDEX)
-        total = WordSum(INDEX)
-        for wa, ca in u.terms.items():
-            for wb, cb in v.terms.items():
-                part = {word: Fraction(mult) * ca * cb
-                        for word, mult in _stuffle_words(wa, wb)}
-                total = total + WordSum(INDEX, part)
-        return total
-    return WordSum(INDEX, {word: Fraction(mult)
-                           for word, mult in _stuffle_words(tuple(u), tuple(v))})
+    return _bilinear(_stuffle_words, u, v, INDEX)
 
 
 # ---------------------------------------------------------------------
@@ -236,11 +230,8 @@ def poly_rep(w) -> Poly:
         depths = {depth(word) for word in w.terms}
         if len(depths) != 1:
             raise ValueError("mixed depths have no common arity")
-        r = depths.pop()
-        out = Poly.zero(r + 1)
-        for word, coeff in w.terms.items():
-            out = out + Poly.monomial(word_exponents(word), coeff)
-        return out
+        return Poly(depths.pop() + 1, {word_exponents(word): coeff
+                                       for word, coeff in w.terms.items()})
     return Poly.monomial(word_exponents(tuple(w)))
 
 
@@ -275,10 +266,14 @@ def translation_lift(f: Poly) -> Poly:
 
 
 def is_translation_invariant(f: Poly) -> bool:
-    total = Poly.zero(f.arity)
-    for i in range(f.arity):
-        total = total + f.partial(i)
-    return total.is_zero()
+    """True iff the partial derivatives of f sum to zero."""
+    total: dict[tuple[int, ...], Coeff] = {}
+    for exps, coeff in f.terms.items():
+        for i, e in enumerate(exps):
+            if e:
+                key = exps[:i] + (e - 1,) + exps[i + 1:]
+                total[key] = total.get(key, 0) + e * coeff
+    return not any(total.values())
 
 
 def to_index_word(word: Word) -> Word | None:
@@ -305,12 +300,12 @@ def to_index_sum(w: WordSum) -> WordSum:
     """Linear extension of the index-word projection."""
     if w.alphabet != BINARY:
         raise ValueError("expected binary words")
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Coeff] = {}
     for word, coeff in w.terms.items():
         iword = to_index_word(word)
         if iword is None:
             continue
-        out[iword] = out.get(iword, Fraction(0)) + coeff
+        out[iword] = out.get(iword, 0) + coeff
     return WordSum(INDEX, out)
 
 
@@ -352,26 +347,14 @@ def _compose_words(a: Word, g: Word) -> tuple[tuple[Word, int], ...]:
 
 def word_compose(a, g) -> WordSum:
     """Bilinear depth-graded composition of binary words."""
-    if not isinstance(a, WordSum):
-        a = WordSum.single(a, BINARY)
-    if not isinstance(g, WordSum):
-        g = WordSum.single(g, BINARY)
-    if a.alphabet != BINARY or g.alphabet != BINARY:
-        raise ValueError("composition is defined on binary words")
-    total = WordSum(BINARY)
-    for wa, ca in a.terms.items():
-        for wg, cg in g.terms.items():
-            part = {word: Fraction(mult) * ca * cg
-                    for word, mult in _compose_words(wa, wg)}
-            total = total + WordSum(BINARY, part)
-    return total
+    return _bilinear(_compose_words, a, g, BINARY)
 
 
 # ---------------------------------------------------------------------
 # Infinitesimal coaction component
 # ---------------------------------------------------------------------
 
-def coaction_component(r: int, a: Iterable[int]) -> dict[tuple[Word, Word], Fraction]:
+def coaction_component(r: int, a: Iterable[int]) -> dict[tuple[Word, Word], int]:
     """Degree-r component of the infinitesimal coaction on the sequence
     ``a`` (read between fixed endpoints 0 and 1).
 
@@ -385,7 +368,7 @@ def coaction_component(r: int, a: Iterable[int]) -> dict[tuple[Word, Word], Frac
     if r < 1 or r > n:
         return {}
     framed = (0,) + word + (1,)
-    out: dict[tuple[Word, Word], Fraction] = {}
+    out: dict[tuple[Word, Word], int] = {}
     for p in range(n - r + 1):
         left = framed[p]
         right = framed[p + r + 1]
@@ -399,7 +382,7 @@ def coaction_component(r: int, a: Iterable[int]) -> dict[tuple[Word, Word], Frac
             sign = (-1) ** r
         quotient = word[:p] + word[p + r:]
         key = (sub, quotient)
-        new = out.get(key, Fraction(0)) + sign
+        new = out.get(key, 0) + sign
         if new:
             out[key] = new
         else:

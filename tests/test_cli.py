@@ -54,6 +54,21 @@ def test_cache_dir_flag_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["period", "--weight", "12"],
+    ["exceptional", "--weight", "12"],
+    ["bracket", "--expr", "{3,5}"],
+    ["express", "--composition", "4,3,3,2"],
+    ["series", "--kind", "odd"],
+])
+def test_jobs_only_on_cell_commands(argv, capsys):
+    # --jobs maps independent cells; the other commands have none to map
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_exceptional_weight12(capsys):
     code, out = run(capsys, "exceptional", "--weight", "12")
     assert code == 0
@@ -154,7 +169,8 @@ def test_bracket_weight_bound(capsys, monkeypatch):
         raise AssertionError("evaluated past the weight bound")
 
     monkeypatch.setattr(cli, "_evaluate_bracket", evaluate)
-    for expr in ("{3,{3,{3,{3,{3,{3,{5,7}}}}}}}", "{e12,e16}"):
+    # {3,480697} is shallow, but would lift x^480696 into 480,697 terms
+    for expr in ("{3,{3,{3,{3,{3,{3,{5,7}}}}}}}", "{e12,e16}", "{3,480697}"):
         code, out = run(capsys, "bracket", "--expr", expr)
         assert code == 2, expr
         assert out == "", expr

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from doubleshuffle import ihara, words
 from doubleshuffle.exact_algebra import Poly
 from doubleshuffle.words import (BINARY, INDEX, WordSum, coaction_component,
-                                 depth, exponents_to_word,
+                                 compositions, depth, exponents_to_word,
                                  index_word_to_binary, is_translation_invariant,
                                  poly_rep, poly_to_words, reduced_rep,
                                  restrict_y0, shuffle, str_to_word, stuffle,
@@ -169,6 +169,13 @@ def test_stuffle_unit_property(a):
     assert stuffle((), a) == stuffle(a, ()) == WordSum.single(a, INDEX)
 
 
+def test_stuffle_rejects_binary_word_sums():
+    with pytest.raises(ValueError):
+        stuffle(WordSum(BINARY, {(1, 0): 1}), WordSum(BINARY, {(1,): 1}))
+    with pytest.raises(ValueError):
+        stuffle(WordSum(BINARY, {(1, 0): 1}), (1,))
+
+
 def test_stuffle_top_depth_is_shuffle():
     rng = random.Random(13)
     for _ in range(20):
@@ -177,6 +184,44 @@ def test_stuffle_top_depth_is_shuffle():
         full_depth = len(a) + len(b)
         top = {w: c for w, c in stuffle(a, b).terms.items() if len(w) == full_depth}
         assert WordSum(INDEX, top) == shuffle(a, b, alphabet=INDEX)
+
+
+# -- coefficients and compositions -------------------------------------------
+
+def test_integral_coefficients_are_ints():
+    half = WordSum(BINARY, {(1, 0): Fraction(1, 2), (0, 1): Fraction(4, 2),
+                            (1, 1): 3, (0, 0): Fraction(0)})
+    assert half.terms == {(1, 0): Fraction(1, 2), (0, 1): 2, (1, 1): 3}
+    assert type(half.coefficient((1, 0))) is Fraction
+    assert type(half.coefficient((0, 1))) is int
+    assert half.coefficient((0, 0)) == 0 and type(half.coefficient((0, 0))) is int
+    assert all(type(c) is int for c in half.scale(2).terms.values())
+    products = [shuffle((1, 0), (1, 1, 0)), stuffle((2, 1), (1, 3)),
+                word_compose((1, 0, 1), (0, 1, 1)),
+                shuffle(WordSum(BINARY, {(1,): -3, (0,): 2}), (1, 0)),
+                to_index_sum(WordSum(BINARY, {(1, 0): 2, (1, 1): 5}))]
+    for ws in products:
+        assert ws.terms and all(type(c) is int for c in ws.terms.values())
+    summed = shuffle(half, (1,))
+    assert summed.coefficient((1, 1, 0)) == 1  # 2 * 1/2
+    assert type(summed.coefficient((1, 1, 0))) is int
+    assert summed.coefficient((1, 0, 1)) == Fraction(5, 2)  # 1/2 + 2
+
+
+def compositions_by_recursion(total, parts):
+    """The first part, then the compositions of the rest."""
+    if parts <= 0 or total < parts:
+        return [()] if parts == total == 0 else []
+    return [(head,) + rest
+            for head in range(1, total - parts + 2)
+            for rest in compositions_by_recursion(total - head, parts - 1)]
+
+
+def test_compositions_match_recursion():
+    for total in range(-1, 21):
+        for parts in range(-1, 9):
+            assert compositions(total, parts) == \
+                compositions_by_recursion(total, parts), (total, parts)
 
 
 # -- polynomial encodings --------------------------------------------------
@@ -204,6 +249,10 @@ def test_translation_lift_examples():
     lifted = translation_lift(x1sq)
     assert lifted == Poly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})  # (y1-y0)^2
     assert restrict_y0(lifted) == x1sq
+    assert is_translation_invariant(lifted)
+    assert is_translation_invariant(Poly.constant(0, 5))
+    assert not is_translation_invariant(Poly(2, {(0, 2): 1, (2, 0): 1}))
+    assert not is_translation_invariant(Poly(2, {(1, 1): 1, (2, 0): -1}))
 
 
 def test_translation_lift_round_trip_random():
