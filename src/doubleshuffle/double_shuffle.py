@@ -31,8 +31,8 @@ from operator import itemgetter
 import numpy as np
 
 # full_rank_certificate is unused here but perfbench/spans.py wraps this name
-from .exact_algebra import (Poly, full_rank_certificate, nullspace_int,
-                            span_rref)
+from .exact_algebra import (Poly, _sum_equal_codes, full_rank_certificate,
+                            nullspace_int, span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
 from .words import (_shuffle_words, compositions, index_word_to_binary,
                     word_exponents)
@@ -75,6 +75,43 @@ def partial_sum_transform(f: Poly) -> Poly:
     return f
 
 
+def _partial_sum_matrix(monomials: list[tuple[int, ...]],
+                        dtype) -> np.ndarray:
+    """The matrix of ``partial_sum_transform`` on the monomial basis: column
+    j holds the coefficients of the image of monomial j.
+
+    An entry is held as one key ncols * code + column, where code packs the
+    exponent tuple in radix b = degree + 1 (first exponent most
+    significant).  Each shift x_i -> x_i + x_{i-1} acts on all columns at
+    once: an entry with exponent a in x_i becomes its a + 1 binomial images,
+    and equal keys are summed.  The basis is in lex order, so its codes
+    increase and an image finds its row by binary search."""
+    ncols, r = len(monomials), len(monomials[0])
+    b = sum(monomials[0]) + 1
+    radix = b ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    codes = np.array(monomials, dtype=np.int64) @ radix
+    weight = ncols * radix  # the step of a key per unit of each exponent
+    keys = codes * ncols + np.arange(ncols)
+    coeffs = np.ones(ncols, dtype=dtype)
+    binomial = np.array([[comb(a, t) for t in range(b)] for a in range(b)],
+                        dtype=dtype)
+    for i in range(r - 1, 0, -1):
+        a = keys // weight[i] % b
+        # entry source[n] gives its image t = 0..a: x_i^(a-t) x_{i-1}^t
+        source = np.repeat(np.arange(len(keys)), a + 1)
+        t = np.arange(len(source)) - np.repeat(np.cumsum(a + 1) - a - 1, a + 1)
+        keys, coeffs = _sum_equal_codes(
+            keys[source] + t * (weight[i - 1] - weight[i]),
+            coeffs[source] * binomial[a[source], t])
+    psum = np.zeros((ncols, ncols), dtype=dtype)
+    psum[np.searchsorted(codes, keys // ncols), keys % ncols] = coeffs
+    return psum
+
+
+# Rows of a family summed at once: bounds the gathered copies of psum.
+_BLOCK = 512
+
+
 def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
                                                  list[tuple[int, ...]]]:
     """Distinct nonzero integer constraint rows on the monomial coefficient
@@ -86,35 +123,49 @@ def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
     if r == 1:
         # the single unknown is forced to zero at even weight and weight 1
         return np.ones((int(N % 2 == 0 or N == 1), 1), dtype=np.int64), monomials
+    # the keys that _partial_sum_matrix packs must fit in int64
+    if ncols * (N - r + 1) ** r >= 2 ** 63:
+        raise ValueError(f"({N}, {r}) is too large to assemble")
 
     index = {m: j for j, m in enumerate(monomials)}
     # an expansion coefficient is at most r^(N-r) (set every x_j = 1), and a
     # row entry sums at most comb(r, r // 2) of them
     dtype = np.int64 if r ** (N - r) * comb(r, r // 2) < 2 ** 63 else object
-    # column j: the monomial j itself, and its partial-sum transform
-    psum = np.zeros((ncols, ncols), dtype=dtype)
-    for j, m in enumerate(monomials):
-        for exps, c in partial_sum_transform(Poly.monomial(m)).terms.items():
-            psum[index[exps], j] = c
-    blocks = []
+    psum = _partial_sum_matrix(monomials, dtype)
+    # every family is written into one array and its kept rows moved forward
+    out = np.empty(((1 + (N > r)) * (r // 2) * ncols, ncols), dtype=dtype)
+    filled = 0
     for k in range(1, r // 2 + 1):
         # row t of a family sums, over the shuffles seq, the base row of the
         # monomial that seq relabels to t (position j goes to seq[j] - 1)
-        sources = [list(map(index.__getitem__,
-                            map(itemgetter(*(s - 1 for s in seq)), monomials)))
-                   for seq in _label_shuffles(k, r)]
+        sources = np.array([list(map(index.__getitem__,
+                                     map(itemgetter(*(s - 1 for s in seq)),
+                                         monomials)))
+                            for seq in _label_shuffles(k, r)])
         # at k = r/2 the two label blocks have equal length, so the rows of t
         # and of t rotated by k coincide: keep the one of lower index
         first = (np.arange(ncols) <= [index[m[k:] + m[:k]] for m in monomials]
                  if 2 * k == r else True)
-        if N > r:  # else psum is the identity, and its family gives every row
-            # row t of the identity's family is 1 at each source[t]: a scatter
-            family = np.zeros((ncols, ncols), dtype=dtype)
-            np.add.at(family, (np.arange(ncols), sources), 1)
-            blocks.append(family[family.any(axis=1) & first])
-        family = sum(psum[source] for source in sources)
-        blocks.append(family[family.any(axis=1) & first])
-    return np.concatenate(blocks), monomials
+        # the identity's family, then psum's; at degree 0 psum is the
+        # identity, and its family gives every row
+        for identity in (True, False) if N > r else (False,):
+            # the slice may hold rows of an earlier family: clear it first
+            family = out[filled:filled + ncols]
+            family[:] = 0
+            if identity:
+                # row t of the identity's family is 1 at each source[t]
+                np.add.at(family, (np.arange(ncols), sources), 1)
+            else:
+                # _BLOCK rows at a time, so no gathered copy of psum is whole
+                for lo in range(0, ncols, _BLOCK):
+                    for source in sources[:, lo:lo + _BLOCK]:
+                        family[lo:lo + _BLOCK] += psum[source]
+            keep = family.any(axis=1) & first
+            kept = int(np.count_nonzero(keep))
+            if kept < ncols:
+                out[filled:filled + kept] = family[keep]
+            filled += kept
+    return out[:filled], monomials
 
 
 def solve(N: int, r: int) -> SolutionSpace:

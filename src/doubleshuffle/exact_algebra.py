@@ -372,6 +372,16 @@ def _int_array(rows, ncols: int) -> np.ndarray:
         return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
 
+def _sum_equal_codes(codes: np.ndarray, coeffs: np.ndarray):
+    """Sort the codes, sum the coefficients of equal codes, drop zero sums."""
+    order = np.argsort(codes)
+    codes, coeffs = codes[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    keep = sums != 0
+    return codes[starts][keep], sums[keep]
+
+
 def _primes():
     """``_PRIME``, then the primes below it in decreasing order, by trial
     division (at most 512 odd divisors below 2^20)."""

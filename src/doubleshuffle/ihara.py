@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact_algebra import Poly, _int_array, _settled
+from .exact_algebra import Poly, _int_array, _settled, _sum_equal_codes
 from .words import CACHE_SIZE, restrict_y0, translation_lift
 
 
@@ -151,16 +151,6 @@ def _coeff_arrays(fvals: list, gvals: list, placements: int):
         if bound < 2 ** 63:
             exact = np.int64
     return np.array(fvals, dtype=exact), np.array(gvals, dtype=exact)
-
-
-def _sum_equal_codes(codes: np.ndarray, coeffs: np.ndarray):
-    """Sort the codes, sum the coefficients of equal codes, drop zero sums."""
-    order = np.argsort(codes)
-    codes, coeffs = codes[order], coeffs[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    sums = np.add.reduceat(coeffs, starts)
-    keep = sums != 0
-    return codes[starts][keep], sums[keep]
 
 
 def poly_compose(f: DepthPoly, g: DepthPoly) -> DepthPoly:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from doubleshuffle import exact_algebra
 from doubleshuffle.double_shuffle import (_label_shuffles,
+                                          _partial_sum_matrix,
                                           assemble_constraints, dimension,
                                           iterated_bracket_span,
                                           membership_test, monomial_basis,
@@ -63,6 +64,27 @@ def partial_sum_expansion(m):
                     new[key] = new.get(key, 0) + coeff
             acc = new
     return acc
+
+
+def test_partial_sum_matrix_matches_transform():
+    # column j is the image of monomial j, by Poly shifts and by expansion
+    cells = [(N, r) for r in range(2, 5) for N in range(r, 15)]
+    cells += [(N, 5) for N in range(5, 14)]
+    # int64 up to (63, 2), Python ints in an object array from (64, 2)
+    cells += [(63, 2), (64, 2), (70, 2)]
+    for N, r in cells:
+        monomials = monomial_basis(N, r)
+        dtype = object if N >= 64 else np.int64
+        psum = _partial_sum_matrix(monomials, dtype)
+        assert psum.dtype == dtype, (N, r)
+        assert psum.shape == (len(monomials), len(monomials)), (N, r)
+        if dtype is object:
+            assert {type(x) for x in psum.flat} == {int}
+        for j, m in enumerate(monomials):
+            column = {monomials[i]: c
+                      for i, c in enumerate(psum[:, j].tolist()) if c}
+            assert column == partial_sum_transform(Poly.monomial(m)).terms, m
+            assert column == partial_sum_expansion(m), m
 
 
 def every_split_rows(N, r):
@@ -215,11 +237,22 @@ def test_solve_depth5_weight13_is_zero():
     assert solve(13, 5).dimension == 0
 
 
+def test_first_nonzero_depth5_cell():
+    assert dimension(15, 5) == 1
+    assert dimension(16, 5) == 0
+    space = solve(15, 5)
+    assert space.dimension == 1
+    assert membership_test(space.basis[0])
+
+
 def test_invalid_cells_raise():
     with pytest.raises(ValueError):
         solve(3, 4)
     with pytest.raises(ValueError):
         assemble_constraints(2, 0)
+    # the packed keys of the partial-sum matrix would overflow int64
+    with pytest.raises(ValueError, match="too large"):
+        assemble_constraints(37, 35)
 
 
 def test_dimension_agrees_with_solve():
