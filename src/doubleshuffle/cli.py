@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from .exact_algebra import format_rational
 from .ihara import DepthPoly, bracket, depth1_generator
-from .double_shuffle import dimension, iterated_bracket_span, solve
+from .double_shuffle import dimension, iterated_bracket_span, ls_cells, solve
 from .exceptional import exceptional_elements, express_in_basis
-from .odd_mzv import MAX_TABLE_WEIGHT, odd_rank, predicted_odd_table
+from .odd_mzv import MAX_TABLE_WEIGHT, odd_cells, odd_rank, predicted_odd_table
 from .period_poly import basis_S, cusp_dimension
 from .series import bk_series, eos, hoffman_dims, pbw
 
@@ -82,25 +82,17 @@ def _odd_cell(cell: tuple[int, int]) -> list:
     return [2 * N + r, r, odd_rank(N, r)]
 
 
-def cmd_dims(args) -> int:
-    _check_bounds(args.max_weight, args.max_depth)
-    cells = [(N, r) for r in range(1, args.max_depth + 1)
-             for N in range(r, args.max_weight + 1)]
-    rows = _map_cells(_dims_cell, cells, args.jobs)
-    rows.sort(key=lambda row: (row[0], row[1]))
-    _emit(args, "dims", {"max_weight": args.max_weight,
-                         "max_depth": args.max_depth}, rows)
-    return 0
+_GRID_CELLS = {"dims": _dims_cell, "span": _span_cell}
 
 
-def cmd_span(args) -> int:
+def cmd_grid(args) -> int:
+    """dims or span: one row per ls cell, sorted by (N, r)."""
     _check_bounds(args.max_weight, args.max_depth)
-    cells = [(N, r) for r in range(1, args.max_depth + 1)
-             for N in range(r, args.max_weight + 1)]
-    rows = _map_cells(_span_cell, cells, args.jobs)
+    rows = _map_cells(_GRID_CELLS[args.command],
+                      ls_cells(args.max_weight, args.max_depth), args.jobs)
     rows.sort(key=lambda row: (row[0], row[1]))
-    _emit(args, "span", {"max_weight": args.max_weight,
-                         "max_depth": args.max_depth}, rows)
+    _emit(args, args.command, {"max_weight": args.max_weight,
+                               "max_depth": args.max_depth}, rows)
     return 0
 
 
@@ -129,49 +121,33 @@ def cmd_exceptional(args) -> int:
     return 0
 
 
+# (weight bound, depth bound) of each bk-check target
+_BK_BOUNDS = {"ls": (MAX_WEIGHT_BOUND, MAX_DEPTH_BOUND),
+              "odd": (MAX_TABLE_WEIGHT, 8),
+              "full-t1": (MAX_SERIES_WEIGHT_BOUND, 8)}
+
+
 def cmd_bk_check(args) -> int:
-    if args.target == "ls":
-        _check_bounds(args.max_weight, args.max_depth)
-    elif args.target == "odd":
-        _check_bounds(args.max_weight, args.max_depth,
-                      MAX_TABLE_WEIGHT, 8)
-    elif args.target == "full-t1":
-        _check_bounds(args.max_weight, args.max_depth,
-                      MAX_SERIES_WEIGHT_BOUND, 8)
+    """Rows [key, key, computed, predicted, flag], in key order."""
     W, D = args.max_weight, args.max_depth
-    rows: list[list] = []
+    _check_bounds(W, D, *_BK_BOUNDS[args.target])
     if args.target == "ls":
-        cells = [(N, r) for r in range(1, D + 1) for N in range(r, W + 1)]
-        dims = {(N, r): d for (N, r), (_, _, d) in
-                zip(cells, _map_cells(_dims_cell, cells, args.jobs))}
-        computed = pbw({k: v for k, v in dims.items() if v}, W, D)
-        predicted = bk_series("ls", W, D)
-        for N in range(W + 1):
-            for d in range(D + 1):
-                c = computed.coefficient(N, d)
-                p = predicted.coefficient(N, d)
-                rows.append([N, d, c, p, "ok" if c == p else "MISMATCH"])
+        dims = {(N, r): d for N, r, d in
+                _map_cells(_dims_cell, ls_cells(W, D), args.jobs) if d}
+        computed, predicted = pbw(dims, W, D), bk_series("ls", W, D)
+        rows = [[N, d, computed.coefficient(N, d), predicted.coefficient(N, d)]
+                for N in range(W + 1) for d in range(D + 1)]
     elif args.target == "odd":
-        cells = [(N, r) for r in range(1, D + 1)
-                 for N in range(r, (W - r) // 2 + 1)]
-        ranks = {(w, r): v for (w, r, v) in _map_cells(_odd_cell, cells, args.jobs)}
+        ranks = {(w, r): v for w, r, v in
+                 _map_cells(_odd_cell, odd_cells(W, D), args.jobs)}
         predicted = predicted_odd_table(W, D)
-        for w in range(W + 1):
-            for r in range(1, D + 1):
-                c = ranks.get((w, r), 0)
-                p = predicted.get((w, r), 0)
-                if c == 0 and p == 0:
-                    continue
-                rows.append([w, r, c, p, "ok" if c == p else "MISMATCH"])
-    elif args.target == "full-t1":
-        computed = bk_series("full", W, W).t_at_one()
-        predicted = hoffman_dims(W)
-        for N in range(W + 1):
-            rows.append([N, "", computed[N], predicted[N],
-                         "ok" if computed[N] == predicted[N] else "MISMATCH"])
+        rows = [[w, r, ranks.get((w, r), 0), predicted.get((w, r), 0)]
+                for w in range(W + 1) for r in range(1, D + 1)
+                if ranks.get((w, r)) or predicted.get((w, r))]
     else:
-        raise UsageError(f"unknown target {args.target!r}")
-    rows.sort(key=lambda row: (row[0], row[1] if isinstance(row[1], int) else -1))
+        computed, predicted = bk_series("full", W, W).t_at_one(), hoffman_dims(W)
+        rows = [[N, "", computed[N], predicted[N]] for N in range(W + 1)]
+    rows = [row + ["ok" if row[2] == row[3] else "MISMATCH"] for row in rows]
     _emit(args, "bk-check", {"max_weight": W, "max_depth": D,
                              "target": args.target}, rows)
     return 0 if all(row[-1] == "ok" for row in rows) else 1
@@ -347,17 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lie algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dims", help="dimension table of the solution spaces")
-    p.add_argument("--max-weight", type=int, default=12)
-    p.add_argument("--max-depth", type=int, default=4)
-    _add_common(p, jobs=True)
-    p.set_defaults(fn=cmd_dims)
-
-    p = sub.add_parser("span", help="dimensions of iterated depth-1 bracket spans")
-    p.add_argument("--max-weight", type=int, default=12)
-    p.add_argument("--max-depth", type=int, default=4)
-    _add_common(p, jobs=True)
-    p.set_defaults(fn=cmd_span)
+    for name, text in (("dims", "dimension table of the solution spaces"),
+                       ("span", "dimensions of iterated depth-1 bracket spans")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--max-weight", type=int, default=12)
+        p.add_argument("--max-depth", type=int, default=4)
+        _add_common(p, jobs=True)
+        p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("exceptional", help="dump exceptional depth-4 elements")
     p.add_argument("--weight", type=int, required=True)

@@ -210,13 +210,15 @@ def membership_test(f: DepthPoly) -> bool:
     return True
 
 
+def ls_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:
+    """Every (N, r) with r <= max_depth and r <= N <= max_weight, depth-major."""
+    return [(N, r) for r in range(1, max_depth + 1)
+            for N in range(r, max_weight + 1)]
+
+
 def dims_table(max_weight: int, max_depth: int) -> dict[tuple[int, int], int]:
-    """dim of every cell with r <= max_depth and r <= N <= max_weight."""
-    out: dict[tuple[int, int], int] = {}
-    for r in range(1, max_depth + 1):
-        for N in range(r, max_weight + 1):
-            out[(N, r)] = dimension(N, r)
-    return out
+    """dim of every cell of ls_cells(max_weight, max_depth)."""
+    return {cell: dimension(*cell) for cell in ls_cells(max_weight, max_depth)}
 
 
 # ---------------------------------------------------------------------

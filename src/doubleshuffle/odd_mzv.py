@@ -20,7 +20,7 @@ from .ihara import DepthPoly, depth1_action, depth1_generator
 from .series import DimTable, bk_series
 from .words import compositions  # the fixed matrix indexing (lex order)
 
-MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~40 s, 115 MB on one 2-vCPU core
+MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~39 s, 118 MB on one 2-vCPU core
 
 
 def nested_action(m: tuple[int, ...]) -> DepthPoly:
@@ -98,12 +98,19 @@ def odd_rank(N: int, r: int) -> int:
     return mat.size - len(nullspace_int(mat.entries, mat.size))
 
 
+def odd_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:
+    """Every (N, r) with r <= max_depth, r <= N and 2N + r <= max_weight,
+    depth-major."""
+    return [(N, r) for r in range(1, max_depth + 1)
+            for N in range(r, (max_weight - r) // 2 + 1)]
+
+
 def odd_rank_table(max_weight: int) -> DimTable:
     """Exact ranks keyed by (2N + r, r), for every 2N + r <= max_weight."""
     if max_weight > MAX_TABLE_WEIGHT:
         raise ValueError(f"max_weight bounded by {MAX_TABLE_WEIGHT}")
-    return {(2 * N + r, r): odd_rank(N, r) for r in range(1, max_weight // 3 + 1)
-            for N in range(r, (max_weight - r) // 2 + 1)}
+    return {(2 * N + r, r): odd_rank(N, r)
+            for N, r in odd_cells(max_weight, max_weight // 3)}
 
 
 def predicted_odd_table(max_weight: int, max_depth: int) -> DimTable:

@@ -14,7 +14,9 @@ elements are assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .exact_algebra import Poly, divexact, grlex_key, nullspace_int
 
@@ -151,8 +153,10 @@ def _bracket_pair(a: int, b: int) -> Poly:
     return Poly(2, {(a, b): 1, (b, a): -1})
 
 
-def integral_generators() -> dict[int, PeriodPolynomial]:
-    """The fixed integral generators in weights 12, 16, 18 and 20."""
+@lru_cache(maxsize=1)
+def integral_generators() -> MappingProxyType[int, PeriodPolynomial]:
+    """The fixed integral generators in weights 12, 16, 18 and 20, built
+    once: every call returns the same shared mapping, which is read-only."""
     data = {
         12: _bracket_pair(8, 2) - _bracket_pair(6, 4).scale(3),
         16: (_bracket_pair(12, 2).scale(2) - _bracket_pair(10, 4).scale(7)
@@ -162,7 +166,8 @@ def integral_generators() -> dict[int, PeriodPolynomial]:
         20: (_bracket_pair(16, 2).scale(3) - _bracket_pair(14, 4).scale(10)
              + _bracket_pair(12, 6).scale(14) - _bracket_pair(10, 8).scale(13)),
     }
-    return {twoN: from_polynomial(twoN, P) for twoN, P in data.items()}
+    return MappingProxyType({twoN: from_polynomial(twoN, P)
+                             for twoN, P in data.items()})
 
 
 def cusp_dimension(twoN: int) -> int:

@@ -277,6 +277,47 @@ def test_bk_check_odd_weight21_depth5(capsys):
     assert all(row[-1] == "ok" for row in tsv_rows(out))
 
 
+def _bump_ls(series):
+    series.coeffs[12][2] += 1
+
+
+def _bump_odd(table):
+    table[12, 2] += 1
+
+
+def _bump_full_t1(dims):
+    dims[20] += 1
+
+
+@pytest.mark.parametrize("argv, name, bump, key", [
+    (["ls", "--max-weight", "12", "--max-depth", "3"], "bk_series", _bump_ls,
+     ["12", "2"]),
+    (["odd", "--max-weight", "13", "--max-depth", "3"], "predicted_odd_table",
+     _bump_odd, ["12", "2"]),
+    (["full-t1", "--max-weight", "20"], "hoffman_dims", _bump_full_t1,
+     ["20", ""]),
+])
+def test_bk_check_mismatch_flags_one_row(capsys, monkeypatch, argv, name,
+                                         bump, key):
+    code, out = run(capsys, "bk-check", "--target", *argv)
+    assert code == 0
+    rows = tsv_rows(out)
+    assert key in [row[:2] for row in rows]
+    real = getattr(cli, name)
+
+    def off_by_one(*args):
+        table = real(*args)
+        bump(table)
+        return table
+
+    monkeypatch.setattr(cli, name, off_by_one)
+    code, out = run(capsys, "bk-check", "--target", *argv)
+    assert code == 1
+    assert tsv_rows(out) == [
+        row[:3] + [str(int(row[3]) + 1), "MISMATCH"] if row[:2] == key else row
+        for row in rows]
+
+
 def test_span_table(capsys):
     code, out = run(capsys, "span", "--max-weight", "12", "--max-depth", "4")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from doubleshuffle import period_poly
 from doubleshuffle.double_shuffle import membership_test, solve
 from doubleshuffle.exact_algebra import Poly
 from doubleshuffle.exceptional import (build_exceptional, exceptional_elements,
@@ -53,6 +54,23 @@ def test_full_lift_is_translation_invariant(e12):
     assert is_translation_invariant(e12.full)
     assert restrict_y0(e12.full) == e12.reduced.body
     assert translation_lift(e12.reduced.body) == e12.full
+
+
+def test_integral_generators_built_once(monkeypatch):
+    builds, original = [], period_poly.from_polynomial
+
+    def counting(twoN, P):
+        builds.append(twoN)
+        return original(twoN, P)
+
+    monkeypatch.setattr(period_poly, "from_polynomial", counting)
+    integral_generators.cache_clear()
+    for w in range(12, 21, 2):  # dim S_14 = 0: weight 14 builds nothing
+        exceptional_elements(w)
+    assert builds == [12, 16, 18, 20]  # not 4 builds per call
+    assert integral_generators() is integral_generators()
+    with pytest.raises(TypeError):  # shared, so read-only
+        integral_generators()[12] = None
 
 
 def test_restriction_recovers_f1():

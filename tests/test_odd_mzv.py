@@ -5,8 +5,8 @@ from functools import lru_cache
 from doubleshuffle.exact_algebra import Poly, rank_bareiss, rank_modular
 from doubleshuffle.ihara import depth1_generator, poly_compose
 from doubleshuffle.odd_mzv import (c_coefficient, compositions, nested_action,
-                                   odd_matrix, odd_rank, odd_rank_table,
-                                   predicted_odd_table)
+                                   odd_cells, odd_matrix, odd_rank,
+                                   odd_rank_table, predicted_odd_table)
 
 
 def test_compositions_lex_order():
@@ -77,6 +77,13 @@ def test_rank_table_matches_series():
     for w in range(16):
         for r in range(1, 6):
             assert table.get((w, r), 0) == predicted.get((w, r), 0), (w, r)
+
+
+def test_odd_grid():
+    assert len(odd_cells(21, 7)) == 37  # the cells of bk-check odd W21/D7
+    assert odd_cells(9, 2) == [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]
+    assert list(odd_rank_table(15)) == [(2 * N + r, r)
+                                        for N, r in odd_cells(15, 5)]
 
 
 def test_rank_table_parity():

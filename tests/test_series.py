@@ -2,7 +2,7 @@
 
 import pytest
 
-from doubleshuffle.double_shuffle import dims_table
+from doubleshuffle.double_shuffle import dims_table, ls_cells
 from doubleshuffle.series import (BiSeries, bk_series, eos, euler_check,
                                   euler_series, free_lie_dims, hoffman_dims,
                                   pbw)
@@ -77,6 +77,14 @@ def test_pbw_single_generator():
 
 def test_pbw_empty_table():
     assert pbw({}, 10, 3) == BiSeries.one(10, 3)
+
+
+def test_ls_grid():
+    # the cells of bk-check ls W14/D4 and W13/D5
+    assert len(ls_cells(14, 4)) == 50
+    assert len(ls_cells(13, 5)) == 55
+    assert ls_cells(3, 2) == [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]
+    assert list(dims_table(8, 3)) == ls_cells(8, 3)
 
 
 def test_pbw_of_computed_dims_matches_ls_series():
