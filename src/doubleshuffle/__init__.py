@@ -1,6 +1,6 @@
 """Depth-graded double shuffle Lie algebra toolkit (exact rational arithmetic)."""
 
-from .exact_algebra import (Poly, Rational, divexact, full_rank_certificate,
+from .exact_algebra import (Poly, divexact, full_rank_certificate,
                             nullspace_int, rank_bareiss, rank_modular,
                             span_rref)
 from .ihara import (DepthPoly, UNIT, bracket, bracket_lifted, compose_lifted,

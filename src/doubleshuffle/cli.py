@@ -25,7 +25,7 @@ from .ihara import DepthPoly, bracket, depth1_generator
 from .double_shuffle import dimension, iterated_bracket_span, ls_cells, solve
 from .exceptional import exceptional_elements, express_in_basis
 from .odd_mzv import MAX_TABLE_WEIGHT, odd_cells, odd_rank, predicted_odd_table
-from .period_poly import basis_S, cusp_dimension
+from .period_poly import basis_S, cusp_dimension, integral_generators
 from .series import bk_series, eos, hoffman_dims, pbw
 
 MAX_WEIGHT_BOUND = 20
@@ -104,6 +104,8 @@ def cmd_exceptional(args) -> int:
         print(f"dim S = 0 at weight {twoN}: no exceptional elements",
               file=sys.stderr)
         return 1
+    if args.generator == "paper" and twoN not in integral_generators():
+        raise UsageError(f"no fixed integral generator at weight {twoN}")
     elements = exceptional_elements(twoN, args.generator)
     rows = []
     headers = []
@@ -121,16 +123,17 @@ def cmd_exceptional(args) -> int:
     return 0
 
 
-# (weight bound, depth bound) of each bk-check target
+# (weight bound, depth bound) of each bk-check target; full-t1 reads no depth
 _BK_BOUNDS = {"ls": (MAX_WEIGHT_BOUND, MAX_DEPTH_BOUND),
               "odd": (MAX_TABLE_WEIGHT, 8),
-              "full-t1": (MAX_SERIES_WEIGHT_BOUND, 8)}
+              "full-t1": (MAX_SERIES_WEIGHT_BOUND, None)}
 
 
 def cmd_bk_check(args) -> int:
     """Rows [key, key, computed, predicted, flag], in key order."""
-    W, D = args.max_weight, args.max_depth
-    _check_bounds(W, D, *_BK_BOUNDS[args.target])
+    weight_bound, depth_bound = _BK_BOUNDS[args.target]
+    W, D = args.max_weight, args.max_depth if depth_bound else None
+    _check_bounds(W, D, weight_bound, depth_bound)
     if args.target == "ls":
         dims = {(N, r): d for N, r, d in
                 _map_cells(_dims_cell, ls_cells(W, D), args.jobs) if d}
@@ -148,8 +151,9 @@ def cmd_bk_check(args) -> int:
         computed, predicted = bk_series("full", W, W).t_at_one(), hoffman_dims(W)
         rows = [[N, "", computed[N], predicted[N]] for N in range(W + 1)]
     rows = [row + ["ok" if row[2] == row[3] else "MISMATCH"] for row in rows]
-    _emit(args, "bk-check", {"max_weight": W, "max_depth": D,
-                             "target": args.target}, rows)
+    params = {"max_weight": W, "max_depth": D, "target": args.target}
+    _emit(args, "bk-check", {k: v for k, v in params.items() if v is not None},
+          rows)
     return 0 if all(row[-1] == "ok" for row in rows) else 1
 
 
@@ -176,6 +180,8 @@ def _parse_bracket_expr(text: str):
         if twoN is not None:
             if int(twoN) % 2 or not 12 <= int(twoN) <= MAX_SERIES_WEIGHT_BOUND:
                 raise UsageError(f"e<w> needs an even w in 12..{MAX_SERIES_WEIGHT_BOUND}")
+            if int(index or 0) >= cusp_dimension(int(twoN)):
+                raise UsageError(f"no exceptional element e{twoN}[{index or 0}]")
             stack.append(("e", int(twoN), int(index or 0)))
             depth += 4
             weight += int(twoN)
@@ -207,10 +213,7 @@ def _evaluate_bracket(node) -> DepthPoly:
     if node[0] == "g":
         return depth1_generator(node[1])
     _, twoN, index = node
-    elements = exceptional_elements(twoN, "auto")
-    if index >= len(elements):
-        raise UsageError(f"no exceptional element e{twoN}[{index}]")
-    return elements[index].reduced
+    return exceptional_elements(twoN, "auto")[index].reduced
 
 
 def cmd_bracket(args) -> int:
@@ -299,12 +302,12 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _check_bounds(max_weight: int, max_depth: int,
+def _check_bounds(max_weight: int, max_depth: int | None,
                   weight_bound: int = MAX_WEIGHT_BOUND,
-                  depth_bound: int = MAX_DEPTH_BOUND) -> None:
+                  depth_bound: int | None = MAX_DEPTH_BOUND) -> None:
     if not (1 <= max_weight <= weight_bound):
         raise UsageError(f"max-weight must be in 1..{weight_bound}")
-    if not (1 <= max_depth <= depth_bound):
+    if max_depth is not None and not (1 <= max_depth <= depth_bound):
         raise UsageError(f"max-depth must be in 1..{depth_bound}")
 
 

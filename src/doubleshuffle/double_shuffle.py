@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from operator import itemgetter
 
@@ -168,15 +167,18 @@ def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
     return out[:filled], monomials
 
 
+def _space(N: int, r: int, monomials: list[tuple[int, ...]],
+           vectors: list[list]) -> SolutionSpace:
+    """The space with one basis element per coefficient vector on
+    ``monomials``."""
+    return SolutionSpace(N, r, [
+        DepthPoly(r, N, Poly(r, dict(zip(monomials, vec)))) for vec in vectors])
+
+
 def solve(N: int, r: int) -> SolutionSpace:
     """Deterministic reduced-echelon basis of the solution space."""
     rows, monomials = assemble_constraints(N, r)
-    vectors = nullspace_int(rows, len(monomials))
-    basis = []
-    for vec in vectors:
-        body = Poly(r, {m: c for m, c in zip(monomials, vec) if c})
-        basis.append(DepthPoly(r, N, body))
-    return SolutionSpace(N, r, basis)
+    return _space(N, r, monomials, nullspace_int(rows, len(monomials)))
 
 
 def dimension(N: int, r: int) -> int:
@@ -233,8 +235,7 @@ def iterated_bracket_span(N: int, r: int) -> SolutionSpace:
     subspace as arbitrary bracketings.
     """
     monomials = monomial_basis(N, r)
-    col_of = {m: j for j, m in enumerate(monomials)}
-    vectors: list[list[Fraction]] = []
+    vectors: list[list[int]] = []
     # ordered tuples of r odd parts >= 3 summing to N: parts 2a+1 with a >= 1
     odd_parts = ([tuple(2 * a + 1 for a in comp)
                   for comp in compositions((N - r) // 2, r)]
@@ -245,16 +246,8 @@ def iterated_bracket_span(N: int, r: int) -> SolutionSpace:
             acc = bracket(depth1_generator(w), acc)
         if acc.is_zero():
             continue
-        vec = [Fraction(0)] * len(monomials)
-        for exps, coeff in acc.body.terms.items():
-            vec[col_of[exps]] = coeff
-        vectors.append(vec)
-    basis_vectors = span_rref(vectors, len(monomials))
-    basis = []
-    for vec in basis_vectors:
-        body = Poly(r, {m: c for m, c in zip(monomials, vec) if c})
-        basis.append(DepthPoly(r, N, body))
-    return SolutionSpace(N, r, basis)
+        vectors.append([acc.body.coefficient(m) for m in monomials])
+    return _space(N, r, monomials, span_rref(vectors, len(monomials)))
 
 
 # ---------------------------------------------------------------------

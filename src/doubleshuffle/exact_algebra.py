@@ -24,8 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Rational = Fraction
-
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
 
@@ -457,53 +455,59 @@ def _rational(x: int, m: int) -> Fraction | None:
     return None
 
 
-def _reconstruct(residues: np.ndarray, m: int,
-                 start: int) -> tuple[list[list[Fraction]] | None, int]:
+def _reconstruct(residues: np.ndarray,
+                 m: int) -> list[tuple[int, list[int]]] | None:
     """Rational reconstructions mod m of the columns of ``residues`` (pivots
-    x free) and ``start``, or None and the first column that fails.  Columns
-    are tried from ``start`` on, then the ones before it: started at the
-    column that failed under the previous modulus, an attempt that cannot
-    succeed yet usually stops within that column."""
-    columns: list = [None] * residues.shape[1]
-    for j in [*range(start, len(columns)), *range(start)]:
-        column = []
-        for x in residues[:, j]:
-            q = _rational(int(x), m)
-            if q is None:
-                return None, j
-            column.append(q)
-        columns[j] = column
-    return columns, start
+    x free) as (d, numerators over d), d the lcm of the denominators; None
+    if an entry has none.  When d and the centred residue y of d x are at
+    most sqrt(m / 2), y / d is Wang's unique answer for x; otherwise
+    ``_rational`` reads x, and its denominator, prime to m, extends d."""
+    half = m // 2
+    bound = isqrt(half)
+    columns = []
+    for column in residues.T.tolist():
+        d, nums = 1, []
+        for x in column:
+            y = (d * x + half) % m - half
+            if not (d <= bound and -bound <= y <= bound):
+                q = _rational(x, m)
+                if q is None:
+                    return None
+                scale = q.denominator // gcd(d, q.denominator)
+                nums = [n * scale for n in nums]
+                d *= scale
+                y = q.numerator * (d // q.denominator)
+            nums.append(y)
+        columns.append((d, nums))
+    return columns
 
 
-def _certified_basis(mat: np.ndarray, columns: list[list[Fraction]],
+def _certified_basis(mat: np.ndarray, columns: list[tuple[int, list[int]]],
                      pivots: list[int], free: list[int],
-                     amax: int) -> list[list[Fraction]] | None:
-    """The vectors that are 1 at their free column and ``columns`` at the
-    pivots; None unless every row of ``mat`` annihilates every vector
-    exactly."""
-    basis, nums, denoms = [], [], []
-    for f, entries in zip(free, columns):
-        denom = lcm(*(q.denominator for q in entries))
-        nums.append([q.numerator * denom // q.denominator for q in entries])
-        denoms.append(denom)
-        vec = [Fraction(0)] * mat.shape[1]
-        vec[f] = Fraction(1)
-        for c, q in zip(pivots, entries):
-            vec[c] = q
-        basis.append(vec)
+                     amax: int) -> list[list[Coeff]] | None:
+    """The vectors that are 1 at their free column and n / d at the pivots,
+    one per column (d, n); None unless every row of ``mat`` annihilates
+    every vector exactly."""
     # integer dot products, in int64 when no partial sum can overflow
     vecs = np.zeros((len(free), mat.shape[1]), dtype=object)
-    vecs[:, pivots] = nums
-    vecs[range(len(free)), free] = denoms
-    width = max(sum(map(abs, num)) + d for num, d in zip(nums, denoms))
+    vecs[:, pivots] = [nums for _, nums in columns]
+    vecs[range(len(free)), free] = [d for d, _ in columns]
+    width = max(sum(map(abs, nums)) + d for d, nums in columns)
     exact = np.int64 if mat.dtype != object and amax * width < 2 ** 63 else object
-    check = mat.astype(exact, copy=False) @ vecs.T.astype(exact)
-    return None if check.any() else basis
+    if (mat.astype(exact, copy=False) @ vecs.T.astype(exact)).any():
+        return None
+    basis = []
+    for f, (d, nums) in zip(free, columns):
+        vec: list[Coeff] = [0] * mat.shape[1]
+        vec[f] = 1
+        for c, n in zip(pivots, nums):
+            vec[c] = n // d if n % d == 0 else Fraction(n, d)
+        basis.append(vec)
+    return basis
 
 
 def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
-                  ncols: int) -> list[list[Fraction]]:
+                  ncols: int) -> list[list[Coeff]]:
     """Exact nullspace basis of an integer row system, deterministically.
 
     The basis is the canonical one of the reduced row echelon form R: one
@@ -518,6 +522,7 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
     null vectors, each zero after its own free column, and k = ncols - rank
     mod p is at least the nullity over Q, so the mod-p free columns are the
     free columns over Q and the vectors are exactly the canonical basis.
+    Each entry is an int when integral.
     """
     mat = _int_array(rows, ncols)
     nonzero = mat.any(axis=1)
@@ -535,13 +540,13 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
             return []
         key = (-len(cols), cols)
         if best is None or key < best:
-            best, residues, m, hard = key, 0, 1, 0
+            best, residues, m = key, 0, 1
         if key == best:
             free = sorted(set(range(ncols)).difference(cols))
             res = (-red[:, free] % p).astype(object)
             residues = residues + m * ((res - residues) * pow(m, -1, p) % p)
             m *= p
-            columns, hard = _reconstruct(residues, m, hard)
+            columns = _reconstruct(residues, m)
             if columns is not None:
                 basis = _certified_basis(mat, columns, cols, free, amax)
                 if basis is not None:
@@ -551,7 +556,7 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
             raise AssertionError(f"nullspace not certified by the primes down to {p}")
 
 
-def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
+def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Coeff]]:
     """Reduced row echelon form of the span of rational vectors: one row per
     pivot column, in ascending order (deterministic).
 
@@ -567,8 +572,8 @@ def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
     free = [max(j for j, x in enumerate(vec) if x) for vec in basis]
     out = []
     for p in sorted(set(range(ncols)).difference(free)):
-        row = [Fraction(0)] * ncols
-        row[p] = Fraction(1)
+        row: list[Coeff] = [0] * ncols
+        row[p] = 1
         for f, vec in zip(free, basis):
             row[f] = -vec[p]
         out.append(row)
@@ -608,9 +613,9 @@ def rank_bareiss(rows: np.ndarray | Sequence[Sequence[int]]) -> int:
     return r
 
 
-def rank_modular(rows: list[list[int]], ncols: int, p: int = _PRIME) -> int:
-    """Rank mod p.  Always a lower bound for the rank over Q."""
-    return len(_modp_rref(_int_array(rows, ncols), ncols, p)[0])
+def rank_modular(rows: list[list[int]], ncols: int) -> int:
+    """Rank mod _PRIME.  Always a lower bound for the rank over Q."""
+    return len(_modp_rref(_int_array(rows, ncols), ncols, _PRIME)[0])
 
 
 def full_rank_certificate(rows: list[list[int]], ncols: int) -> bool:

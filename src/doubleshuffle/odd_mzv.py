@@ -20,7 +20,7 @@ from .ihara import DepthPoly, depth1_action, depth1_generator
 from .series import DimTable, bk_series
 from .words import compositions  # the fixed matrix indexing (lex order)
 
-MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~39 s, 118 MB on one 2-vCPU core
+MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~32 s, 116 MB on one 2-vCPU core
 
 
 def nested_action(m: tuple[int, ...]) -> DepthPoly:

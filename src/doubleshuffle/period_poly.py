@@ -96,26 +96,23 @@ def _condition_rows(twoN: int, cuspidal: bool) -> tuple[list[list[int]], list[tu
     return rows, monos
 
 
-def basis_W(twoN: int) -> list[Poly]:
-    """Basis of the full even period polynomial space at weight twoN."""
+def _kernel(twoN: int, cuspidal: bool) -> list[Poly]:
+    """The canonical nullspace basis of the condition rows, as polynomials."""
     if twoN < 4 or twoN % 2:
         raise ValueError("weight must be even and >= 4")
-    rows, monos = _condition_rows(twoN, cuspidal=False)
-    vectors = nullspace_int(rows, len(monos))
-    return [Poly(2, {m: c for m, c in zip(monos, vec) if c}) for vec in vectors]
+    rows, monos = _condition_rows(twoN, cuspidal)
+    return [Poly(2, dict(zip(monos, vec)))
+            for vec in nullspace_int(rows, len(monos))]
+
+
+def basis_W(twoN: int) -> list[Poly]:
+    """Basis of the full even period polynomial space at weight twoN."""
+    return _kernel(twoN, cuspidal=False)
 
 
 def basis_S(twoN: int) -> list[PeriodPolynomial]:
     """Basis of the cusp-form subspace, each element fully factored."""
-    if twoN < 4 or twoN % 2:
-        raise ValueError("weight must be even and >= 4")
-    rows, monos = _condition_rows(twoN, cuspidal=True)
-    vectors = nullspace_int(rows, len(monos))
-    out = []
-    for vec in vectors:
-        P = Poly(2, {m: c for m, c in zip(monos, vec) if c})
-        out.append(from_polynomial(twoN, P))
-    return out
+    return [from_polynomial(twoN, P) for P in _kernel(twoN, cuspidal=True)]
 
 
 def from_polynomial(twoN: int, P: Poly) -> PeriodPolynomial:

@@ -7,6 +7,11 @@ import pytest
 
 from doubleshuffle import cli
 from doubleshuffle.cli import main
+from doubleshuffle.exact_algebra import format_rational
+from doubleshuffle.exceptional import exceptional_elements
+from doubleshuffle.ihara import bracket, depth1_generator
+from doubleshuffle.period_poly import cusp_dimension
+from doubleshuffle.series import bk_series
 
 
 def run(capsys, *argv):
@@ -83,6 +88,17 @@ def test_exceptional_weight14_empty(capsys):
     assert code == 1
 
 
+def test_exceptional_paper_without_generator_is_usage_error(capsys):
+    # weight 22 has a cusp form but no fixed generator: an argument fault
+    code, out = run(capsys, "exceptional", "--weight", "22",
+                    "--generator", "paper")
+    assert code == 2
+    assert out == ""
+    # with no cusp form the empty domain comes first
+    code, _ = run(capsys, "exceptional", "--weight", "14", "--generator", "paper")
+    assert code == 1
+
+
 def test_exceptional_weight24_two_elements(capsys):
     code, out = run(capsys, "exceptional", "--weight", "24",
                     "--generator", "canonical", "--format", "json")
@@ -107,6 +123,30 @@ def test_bracket_bad_expression(capsys):
     assert code == 2
 
 
+def test_bracket_exceptional_leaf(capsys):
+    code, out = run(capsys, "bracket", "--expr", "{3,e12}")
+    assert code == 0
+    e12 = exceptional_elements(12, "auto")[0].reduced
+    want = bracket(depth1_generator(3), e12).body.sorted_terms()
+    assert len(want) == 870
+    assert tsv_rows(out) == [[",".join(map(str, exps)), format_rational(c)]
+                             for exps, c in want]
+
+
+def test_exceptional_index_checked_at_parse_time(capsys, monkeypatch):
+    # the parser allows e<w>[i] for i < dim S_w, the number of elements
+    def evaluate(node):
+        raise AssertionError("evaluated an index past dim S")
+
+    monkeypatch.setattr(cli, "_evaluate_bracket", evaluate)
+    for expr in ("{3,e22[1]}", "{3,e14}"):
+        code, out = run(capsys, "bracket", "--expr", expr)
+        assert code == 2, expr
+        assert out == "", expr
+    for w in range(12, 41, 2):
+        assert len(exceptional_elements(w, "auto")) == cusp_dimension(w), w
+
+
 def test_express_reductions(capsys):
     code, out = run(capsys, "express", "--composition", "4,3,3,2",
                     "--relative-to", "1,1,8,2")
@@ -115,6 +155,18 @@ def test_express_reductions(capsys):
     code, out = run(capsys, "express", "--composition", "3,6,1,2",
                     "--relative-to", "1,1,8,2")
     assert tsv_rows(out) == [["0", "3,6,1,2", "1,1,8,2", "-57"]]
+    code, out = run(capsys, "express", "--composition", "4,3,3,2")
+    assert code == 0
+    assert tsv_rows(out) == [["0", "4,3,3,2", "-116"]]
+    # the reference coordinate is 0: no ratio
+    code, out = run(capsys, "express", "--composition", "4,3,3,2",
+                    "--relative-to", "1,1,1,9")
+    assert code == 0
+    assert tsv_rows(out) == [["0", "4,3,3,2", "1,1,1,9", "undefined"]]
+    # weight 13 in depth 4 has no solutions
+    code, out = run(capsys, "express", "--composition", "5,3,3,2")
+    assert code == 1
+    assert out == ""
 
 
 def test_express_out_of_bounds_usage_error(capsys):
@@ -246,6 +298,15 @@ def test_series_dump(capsys):
     assert ["24", "0", "2"] in rows
 
 
+@pytest.mark.parametrize("kind", ["full", "ls", "odd"])
+def test_series_bk_kinds(capsys, kind):
+    code, out = run(capsys, "series", "--kind", kind, "--max-s", "20",
+                    "--max-t", "5")
+    assert code == 0
+    assert tsv_rows(out) == [list(map(str, row)) for row in
+                             bk_series(kind, 20, 5).dump_rows()]
+
+
 def test_bk_check_ls(capsys):
     code, out = run(capsys, "bk-check", "--target", "ls",
                     "--max-weight", "14", "--max-depth", "3")
@@ -259,6 +320,21 @@ def test_bk_check_full_t1(capsys):
     assert code == 0
     rows = tsv_rows(out)
     assert ["20", "", "114", "114", "ok"] in rows
+
+
+def test_bk_check_full_t1_ignores_depth(capsys):
+    # full-t1 reads no depth: any --max-depth is accepted and not echoed
+    outs = []
+    for depth in ("9", "1"):
+        code, out = run(capsys, "bk-check", "--target", "full-t1",
+                        "--max-weight", "10", "--max-depth", depth)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and tsv_rows(outs[0])
+    code, out = run(capsys, "bk-check", "--target", "full-t1",
+                    "--max-weight", "10", "--max-depth", "9", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"max_weight": 10, "target": "full-t1"}
 
 
 def test_bk_check_odd(capsys):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -554,9 +554,68 @@ def test_primes_match_trial_division():
 
 def test_nullspace_uncertified_past_the_bound_raises(monkeypatch):
     # with reconstruction disabled, the prime loop stops at its bound
-    monkeypatch.setattr(exact_algebra, "_rational", lambda *args: None)
+    monkeypatch.setattr(exact_algebra, "_reconstruct", lambda *args: None)
     with pytest.raises(AssertionError):
         nullspace_int([[1, -1], [2, -2]], 2)
+
+
+def assert_reconstruct_matches_each_entry(residues, m):
+    """``_reconstruct`` reads every entry as ``_rational`` does on its own,
+    and fails exactly when one entry does."""
+    each = [[exact_algebra._rational(x, m) for x in column]
+            for column in residues.T.tolist()]
+    columns = exact_algebra._reconstruct(residues, m)
+    if any(q is None for column in each for q in column):
+        assert columns is None
+    else:
+        assert [[Fraction(n, d) for n in nums] for d, nums in columns] == each
+        assert all(d == lcm(*(q.denominator for q in column))
+                   for (d, _), column in zip(columns, each))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nprimes=st.integers(1, 5), shape=st.tuples(st.integers(0, 6),
+                                                   st.integers(1, 4)),
+       data=st.data())
+def test_reconstruct_matches_each_entry(nprimes, shape, data):
+    start = data.draw(st.integers(0, 60))
+    m = prod(islice(exact_algebra._primes(), start, start + nprimes))
+    # arbitrary residues, and residues of fractions whose denominators share
+    # factors, so that their lcm passes sqrt(m / 2) under one prime
+    small = st.builds(lambda a, b: a * pow(b, -1, m) % m, st.integers(-40, 40),
+                      st.lists(st.sampled_from([2, 3, 5, 29, 31, 37]),
+                               max_size=3).map(prod))
+    entries = data.draw(st.lists(st.one_of(st.integers(0, m - 1), small),
+                                 min_size=shape[0] * shape[1],
+                                 max_size=shape[0] * shape[1]))
+    residues = np.array(entries, dtype=object).reshape(shape)
+    assert_reconstruct_matches_each_entry(residues, m)
+
+
+def test_reconstruct_at_the_bounds():
+    # mod _PRIME, sqrt(m / 2) is 723, so 1000 has no reconstruction; 1/145
+    # and 1/93 have, but their lcm 13485 passes 723, so 1/899, which 13485
+    # would explain as 15/13485, goes to _rational, which fails
+    m = _PRIME
+    for column in ([1000], [Fraction(1, 145), Fraction(1, 93), Fraction(1, 899)],
+                   [Fraction(1, 145), Fraction(1, 93), Fraction(1, 15)]):
+        residues = np.array([[q.numerator * pow(q.denominator, -1, m) % m]
+                             for q in map(Fraction, column)], dtype=object)
+        assert_reconstruct_matches_each_entry(residues, m)
+    assert exact_algebra._reconstruct(residues, m) == [(13485, [93, 145, 899])]
+
+
+def test_kernel_entries_are_ints_when_integral():
+    # the Coeff convention: an int, or a Fraction with denominator > 1
+    for rows, ncols, want in [([[1, -1, 0], [2, -2, 0]], 3,
+                               [[1, 1, 0], [0, 0, 1]]),
+                              ([[2, -1]], 2, [[Fraction(1, 2), 1]])]:
+        basis = nullspace_int(rows, ncols)
+        rref = span_rref(rows, ncols)
+        assert basis == want
+        for x in [x for vec in basis + rref for x in vec]:
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    assert span_rref([[2, -1]], 2) == [[1, Fraction(-1, 2)]]
 
 
 @settings(max_examples=20, deadline=None)
