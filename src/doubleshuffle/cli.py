@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ MAX_DEPTH_BOUND = 5
 MAX_SERIES_WEIGHT_BOUND = 40  # series truncation; period and exceptional weights
 MAX_BRACKET_DEPTH = 8         # a generator counts 1, an exceptional e<w> 4
 # The slowest depth-8 shape at weight 26, {3,{3,{3,{3,{3,{3,{3,5}}}}}}},
-# takes 12 s and 340 MB on one 2-vCPU core; weight 30 takes 53 s and 1.1 GB.
+# takes 6 s and 345 MB on one 2-vCPU core; weight 30 takes 18 s and 1.1 GB.
 MAX_BRACKET_WEIGHT = 26
 MAX_JOBS = 64                 # a pool starts all its workers at the first submit
 
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
     try:
         if not 1 <= getattr(args, "jobs", 1) <= MAX_JOBS:
             raise UsageError(f"--jobs must be in 1..{MAX_JOBS}")
+        if args.output and (os.path.isdir(args.output) or not os.access(
+                os.path.dirname(os.path.abspath(args.output)), os.W_OK)):
+            raise UsageError(f"--output {args.output} is not a writable file")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

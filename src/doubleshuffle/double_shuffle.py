@@ -30,8 +30,8 @@ from operator import itemgetter
 import numpy as np
 
 # full_rank_certificate is unused here but perfbench/spans.py wraps this name
-from .exact_algebra import (Poly, _sum_equal_codes, full_rank_certificate,
-                            nullspace_int, span_rref)
+from .exact_algebra import (Poly, _binomial_shift, _shifted,
+                            full_rank_certificate, nullspace_int, span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
 from .words import (_shuffle_words, compositions, index_word_to_binary,
                     word_exponents)
@@ -69,39 +69,22 @@ def partial_sum_transform(f: Poly) -> Poly:
     """f(x_1, x_1 + x_2, ..., x_1 + ... + x_r): the change of variables
     carrying the second family of constraints, as the shifts
     x_i -> x_i + x_{i-1} from the last variable down."""
-    for i in range(f.arity - 1, 0, -1):
-        f = f.shift(i, i - 1)
-    return f
+    return _shifted(f, [(i, i - 1, 1) for i in range(f.arity - 1, 0, -1)])
 
 
 def _partial_sum_matrix(monomials: list[tuple[int, ...]],
                         dtype) -> np.ndarray:
-    """The matrix of ``partial_sum_transform`` on the monomial basis: column
-    j holds the coefficients of the image of monomial j.
-
-    An entry is held as one key ncols * code + column, where code packs the
-    exponent tuple in radix b = degree + 1 (first exponent most
-    significant).  Each shift x_i -> x_i + x_{i-1} acts on all columns at
-    once: an entry with exponent a in x_i becomes its a + 1 binomial images,
-    and equal keys are summed.  The basis is in lex order, so its codes
-    increase and an image finds its row by binary search."""
+    """The matrix of ``partial_sum_transform`` on the monomial basis, column
+    j the image of monomial j, shifted on all columns at once as keys
+    ncols * code + column, code in radix b = degree + 1.  The basis is in
+    lex order, so an image finds its row by binary search."""
     ncols, r = len(monomials), len(monomials[0])
     b = sum(monomials[0]) + 1
     radix = b ** np.arange(r - 1, -1, -1, dtype=np.int64)
     codes = np.array(monomials, dtype=np.int64) @ radix
-    weight = ncols * radix  # the step of a key per unit of each exponent
-    keys = codes * ncols + np.arange(ncols)
-    coeffs = np.ones(ncols, dtype=dtype)
-    binomial = np.array([[comb(a, t) for t in range(b)] for a in range(b)],
-                        dtype=dtype)
-    for i in range(r - 1, 0, -1):
-        a = keys // weight[i] % b
-        # entry source[n] gives its image t = 0..a: x_i^(a-t) x_{i-1}^t
-        source = np.repeat(np.arange(len(keys)), a + 1)
-        t = np.arange(len(source)) - np.repeat(np.cumsum(a + 1) - a - 1, a + 1)
-        keys, coeffs = _sum_equal_codes(
-            keys[source] + t * (weight[i - 1] - weight[i]),
-            coeffs[source] * binomial[a[source], t])
+    keys, coeffs = _binomial_shift(
+        codes * ncols + np.arange(ncols), np.ones(ncols, dtype=dtype),
+        ncols * radix, b, [(i, i - 1, 1) for i in range(r - 1, 0, -1)])
     psum = np.zeros((ncols, ncols), dtype=dtype)
     psum[np.searchsorted(codes, keys // ncols), keys % ncols] = coeffs
     return psum

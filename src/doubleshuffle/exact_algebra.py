@@ -131,8 +131,7 @@ class Poly:
         return self.terms.get(tuple(exps), 0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     def homogeneous_degree(self) -> int:
         """Degree of a homogeneous polynomial (0 for the zero polynomial)."""
@@ -215,16 +214,11 @@ class Poly:
         """
         if len(images) != self.arity:
             raise ValueError(f"expected {self.arity} images, got {len(images)}")
+        out_arity = images[0].arity if images else 0
         if not self.terms:
-            out_arity = images[0].arity if images else 0
             return Poly.zero(out_arity)
-        if images:
-            out_arity = images[0].arity
-            for img in images:
-                if img.arity != out_arity:
-                    raise ValueError("images have inconsistent arities")
-        else:
-            out_arity = 0
+        if any(img.arity != out_arity for img in images):
+            raise ValueError("images have inconsistent arities")
         one = Poly.constant(out_arity, 1)
         power_cache: list[dict[int, Poly]] = [{0: one, 1: img} for img in images]
         acc: dict[Exponent, Coeff] = {}
@@ -246,33 +240,16 @@ class Poly:
         """Substitute x_i -> x_i + sign * x_j (i != j), expanded binomially."""
         if i == j or sign not in (1, -1):
             raise ValueError("a shift needs two distinct variables and sign ±1")
-        out: dict[Exponent, Coeff] = {}
-        get = out.get
-        for exps, coeff in self.terms.items():
-            a, b = exps[i], exps[j]
-            new_exps = list(exps)
-            for k in range(a + 1):
-                new_exps[i] = a - k
-                new_exps[j] = b + k
-                key = tuple(new_exps)
-                new = get(key, 0) + coeff * comb(a, k) * sign ** k
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return Poly(self.arity, _settled(out), _clean=True)
+        return _shifted(self, [(i, j, sign)])
 
     def permute_variables(self, target: Sequence[int]) -> Poly:
         """Rename variables: old position i becomes position target[i]."""
         if sorted(target) != list(range(self.arity)):
             raise ValueError("target is not a permutation")
-        out: dict[Exponent, Coeff] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * self.arity
-            for i, e in enumerate(exps):
-                new[target[i]] = e
-            out[tuple(new)] = coeff
-        return Poly(self.arity, out, _clean=True)
+        source = sorted(range(self.arity), key=target.__getitem__)  # inverse
+        return Poly(self.arity, {tuple([exps[i] for i in source]): coeff
+                                 for exps, coeff in self.terms.items()},
+                    _clean=True)
 
     def embed(self, arity: int, offset: int = 0) -> Poly:
         """View inside a larger variable ring, shifting variables by offset."""
@@ -356,6 +333,78 @@ def divexact(p: Poly, q: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------
+# Packed exponent codes: exponent k of a code is code // steps[k] % b
+# ---------------------------------------------------------------------
+
+def _coeff_array(values: list, growth: int = 1) -> np.ndarray:
+    """Coefficients as an int64 array when they are ints and growth times
+    the largest magnitude is below 2^63, else as an ``object`` array."""
+    if (all(type(c) is int for c in values)
+            and max(map(abs, values), default=0) * growth < 2 ** 63):
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+def _sum_equal_codes(codes: np.ndarray, coeffs: np.ndarray):
+    """Sort the codes, sum the coefficients of equal codes, drop zero sums."""
+    order = np.argsort(codes)
+    codes, coeffs = codes[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    keep = sums != 0
+    return codes[starts][keep], sums[keep]
+
+
+def _binomial_shift(codes: np.ndarray, coeffs: np.ndarray, steps: np.ndarray,
+                    b: int, shifts: list[tuple[int, int, int]]):
+    """x_i -> x_i + sign * x_j for each (i, j, sign) of ``shifts`` in turn,
+    on codes of total degree below b: an entry with exponent a in x_i
+    becomes its a + 1 binomial images, and equal codes are summed.  An image
+    gathers at most ``growth`` times the largest coefficient, so int64
+    coefficients widen to objects before a shift that could pass 2^63."""
+    growth = comb(b, b // 2)  # >= the sum of comb(a, a') over a' <= a < b
+    for i, j, sign in shifts:
+        if coeffs.dtype != object and int(abs(coeffs).max()) * growth >= 2 ** 63:
+            coeffs = coeffs.astype(object)
+        a = (codes // steps[i] % b).astype(np.int64)
+        top = int(a.max()) + 1
+        binomial = np.array([[comb(x, t) * sign ** t for t in range(top)]
+                             for x in range(top)], dtype=coeffs.dtype)
+        # entry source[n] gives its image t = 0..a: x_i^(a-t) x_j^t
+        source = np.repeat(np.arange(len(codes)), a + 1)
+        t = np.arange(len(source)) - np.repeat(np.cumsum(a + 1) - a - 1, a + 1)
+        codes, coeffs = _sum_equal_codes(
+            codes[source] + t.astype(codes.dtype) * (steps[j] - steps[i]),
+            coeffs[source] * binomial[a[source], t])
+    return codes, coeffs
+
+
+def _poly_of_codes(arity: int, codes: np.ndarray, coeffs: np.ndarray,
+                   b: int) -> Poly:
+    """The polynomial of distinct codes with steps b^(arity-1-k)."""
+    keys = np.empty(len(codes), dtype=[(f"y{k}", np.min_scalar_type(b - 1))
+                                       for k in range(arity)])
+    for k in reversed(range(arity)):
+        keys[f"y{k}"] = codes % b
+        codes = codes // b
+    return Poly(arity, _settled(dict(zip(keys.tolist(), coeffs.tolist()))),
+                _clean=True)
+
+
+def _shifted(f: Poly, shifts: list[tuple[int, int, int]]) -> Poly:
+    """f under the ``_binomial_shift`` of ``shifts``, packed once."""
+    if not f.terms or not shifts:
+        return f
+    b = max(map(sum, f.terms)) + 1  # shifts keep each total degree
+    code = np.int64 if b ** f.arity < 2 ** 63 else object
+    steps = np.array([b ** k for k in reversed(range(f.arity))], dtype=code)
+    exps = _int_array(list(f.terms), f.arity).astype(code)
+    codes, coeffs = _binomial_shift(
+        exps @ steps, _coeff_array(list(f.terms.values())), steps, b, shifts)
+    return _poly_of_codes(f.arity, codes, coeffs, b)
+
+
+# ---------------------------------------------------------------------
 # Exact linear algebra on integer rows
 # ---------------------------------------------------------------------
 
@@ -368,16 +417,6 @@ def _int_array(rows, ncols: int) -> np.ndarray:
         return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
     except OverflowError:
         return np.array(rows, dtype=object).reshape(len(rows), ncols)
-
-
-def _sum_equal_codes(codes: np.ndarray, coeffs: np.ndarray):
-    """Sort the codes, sum the coefficients of equal codes, drop zero sums."""
-    order = np.argsort(codes)
-    codes, coeffs = codes[order], coeffs[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    sums = np.add.reduceat(coeffs, starts)
-    keep = sums != 0
-    return codes[starts][keep], sums[keep]
 
 
 def _primes():
@@ -524,6 +563,11 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
     free columns over Q and the vectors are exactly the canonical basis.
     Each entry is an int when integral.
     """
+    return _nullspace(rows, ncols)[1]
+
+
+def _nullspace(rows, ncols: int) -> tuple[list[int], list[list[Coeff]]]:
+    """``nullspace_int``'s free columns, ascending, and its basis."""
     mat = _int_array(rows, ncols)
     nonzero = mat.any(axis=1)
     if not nonzero.all():
@@ -537,7 +581,7 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
     for p in _primes():
         cols, red = _modp_rref(mat, ncols, p)
         if len(cols) == ncols:
-            return []
+            return [], []
         key = (-len(cols), cols)
         if best is None or key < best:
             best, residues, m = key, 0, 1
@@ -550,7 +594,7 @@ def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
             if columns is not None:
                 basis = _certified_basis(mat, columns, cols, free, amax)
                 if basis is not None:
-                    return basis
+                    return free, basis
         tried *= p
         if tried ** 2 > 4 * h2 ** 3:
             raise AssertionError(f"nullspace not certified by the primes down to {p}")
@@ -561,15 +605,14 @@ def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Coeff]]:
     pivot column, in ascending order (deterministic).
 
     The rows are read off the canonical nullspace basis of the vectors,
-    whose free column is each one's last nonzero entry: row p has 1 at p,
-    0 at the other pivots and -basis_f[p] at each free column f.
+    one per free column f: row p has 1 at p, 0 at the other pivots and
+    -basis_f[p] at each free column f.
     """
     rows = []
     for vec in vectors:
         denom = lcm(*(x.denominator for x in vec))
         rows.append([int(x * denom) for x in vec])
-    basis = nullspace_int(rows, ncols)
-    free = [max(j for j, x in enumerate(vec) if x) for vec in basis]
+    free, basis = _nullspace(rows, ncols)
     out = []
     for p in sorted(set(range(ncols)).difference(free)):
         row: list[Coeff] = [0] * ncols

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact_algebra import Poly, _int_array, _settled, _sum_equal_codes
+from .exact_algebra import (Poly, _coeff_array, _int_array, _poly_of_codes,
+                            _sum_equal_codes)
 from .words import CACHE_SIZE, restrict_y0, translation_lift
 
 
@@ -118,8 +119,10 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
     gpos += [[*range(i), *range(i + r, n)] for i in range(1, s + 1)]
     fcodes = np.concatenate([fe @ w[p] for p in fpos])
     gcodes = np.stack([ge @ w[p] for p in gpos])
-    fc, gc = _coeff_arrays(list(F.terms.values()), list(G.terms.values()),
-                           len(gpos))
+    fvals, gvals = list(F.terms.values()), list(G.terms.values())
+    growth = len(gpos) * min(len(F), len(G))  # products one code can sum
+    fc = _coeff_array(fvals, growth * max(map(abs, gvals)))
+    gc = _coeff_array(gvals, growth * max(map(abs, fvals)))
     fcoeffs = np.concatenate([fc] * (s + 1) + [fc * sign] * s)
     # fcodes[k] + gcodes[k // len(F)] are the codes of row k's products
     codes, coeffs = fcodes[:0], fcoeffs[:0]
@@ -130,27 +133,7 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
             np.concatenate([codes, (fcodes[rows, None]
                                     + gcodes[rows // len(fc)]).ravel()]),
             np.concatenate([coeffs, np.multiply.outer(fcoeffs[rows], gc).ravel()]))
-    keys = np.empty(len(codes), dtype=[(f"y{j}", np.min_scalar_type(b - 1))
-                                       for j in range(n)])
-    for j in reversed(range(1, n)):
-        keys[f"y{j}"] = codes % b
-        codes = codes // b
-    keys["y0"] = codes
-    return Poly(n, _settled(dict(zip(keys.tolist(), coeffs.tolist()))),
-                _clean=True)
-
-
-def _coeff_arrays(fvals: list, gvals: list, placements: int):
-    """F's and G's coefficients as int64 arrays when no sum of products
-    can overflow, else as ``object`` arrays of ints and Fractions.  A code
-    gets at most min(|F|, |G|) products per placement."""
-    exact = object
-    if all(type(c) is int for c in fvals + gvals):
-        bound = (max(map(abs, fvals)) * max(map(abs, gvals))
-                 * placements * min(len(fvals), len(gvals)))
-        if bound < 2 ** 63:
-            exact = np.int64
-    return np.array(fvals, dtype=exact), np.array(gvals, dtype=exact)
+    return _poly_of_codes(n, codes, coeffs, b)
 
 
 def poly_compose(f: DepthPoly, g: DepthPoly) -> DepthPoly:
@@ -277,21 +260,10 @@ def depth1_action(n: int, g: DepthPoly) -> DepthPoly:
     m = 2 * n
     out = Poly.zero(r)
     for i in range(1, r + 1):
-        first = _difference_power(r, i, i - 1 if i > 1 else None, m)
+        factor = _difference_power(r, i, i - 1 if i > 1 else None, m)
         if i < r:
-            factor = first - _difference_power(r, i, i + 1, m)
-        else:
-            factor = first
-        slots = [j for j in range(1, r + 1) if j != i]
-        g_embedded = Poly(r, {
-            _spread(exps, slots, r): coeff for exps, coeff in g.body.terms.items()
-        })
-        out = out + factor * g_embedded
+            factor = factor - _difference_power(r, i, i + 1, m)
+        # times g(x_1, .., x_i omitted, .., x_r): g's x_i.. move up a slot
+        out = out + factor * g.body.embed(r).permute_variables(
+            [*range(i - 1), *range(i, r), i - 1])
     return DepthPoly(r, g.weight + 2 * n + 1, out)
-
-
-def _spread(exps: tuple[int, ...], slots: list[int], arity: int) -> tuple[int, ...]:
-    e = [0] * arity
-    for value, slot in zip(exps, slots):
-        e[slot - 1] = value
-    return tuple(e)

@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import sub
 from typing import Callable, Iterable, Mapping
 
-from .exact_algebra import Coeff, Poly, _coeff
+from .exact_algebra import Coeff, Poly, _coeff, _shifted
 
 BINARY = "binary"
 INDEX = "index"
@@ -259,10 +259,8 @@ def restrict_y0(f: Poly) -> Poly:
 def translation_lift(f: Poly) -> Poly:
     """Lift x_i -> y_i - y_0; the unique translation-invariant preimage of
     the restriction above."""
-    lifted = f.embed(f.arity + 1, 1)
-    for i in range(1, f.arity + 1):
-        lifted = lifted.shift(i, 0, -1)
-    return lifted
+    return _shifted(f.embed(f.arity + 1, 1),
+                    [(i, 0, -1) for i in range(1, f.arity + 1)])
 
 
 def is_translation_invariant(f: Poly) -> bool:

@@ -22,6 +22,21 @@ def polys(draw, arity=None, max_arity=5, max_deg=3, max_terms=6):
     return Poly(arity, draw(st.dictionaries(exps, COEFFS, max_size=max_terms)))
 
 
+def lift_by_substitution(f):
+    """The lift as the generic substitution x_i -> y_i - y_0."""
+    y = [Poly.variable(f.arity + 1, i) for i in range(f.arity + 1)]
+    return f.substitute([v - y[0] for v in y[1:]])
+
+
+def psum_by_substitution(f):
+    """The partial-sum transform as the generic substitution
+    x_i -> x_1 + ... + x_i."""
+    images = [Poly.variable(f.arity, 0)]
+    for i in range(1, f.arity):
+        images.append(images[-1] + Poly.variable(f.arity, i))
+    return f.substitute(images)
+
+
 def is_settled(p: Poly) -> bool:
     """Every coefficient is an int, or a Fraction with denominator > 1."""
     return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)

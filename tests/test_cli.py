@@ -434,3 +434,19 @@ def test_output_file_and_jobs_determinism(tmp_path):
     assert main(["dims", "--max-weight", "11", "--max-depth", "3",
                  "--jobs", "3", "--output", str(para)]) == 0
     assert base.read_bytes() == para.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/a.tsv"])
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, target):
+    # a directory or a missing parent directory: exit 2 before any work
+    (tmp_path / "dir").mkdir()
+
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "dimension", forbidden)
+    assert main(["dims", "--max-weight", "6", "--max-depth", "2",
+                 "--output", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --output") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()

@@ -22,7 +22,7 @@ from doubleshuffle.ihara import (DepthPoly, bracket, depth1_generator,
 from doubleshuffle.period_poly import cusp_dimension
 from doubleshuffle.words import translation_lift
 from poly_helpers import (EXCEPTIONAL_WEIGHTS, exceptional_body, is_settled,
-                          polys)
+                          polys, psum_by_substitution)
 
 
 def vectors_of(polys, N, r):
@@ -147,15 +147,6 @@ def test_depth2_solution_structure():
     assert (f + f.permute_variables([1, 0])).is_zero()
     sharp = partial_sum_transform(f)
     assert (sharp + sharp.permute_variables([1, 0])).is_zero()
-
-
-def psum_by_substitution(f):
-    """The partial-sum transform as the generic substitution
-    x_i -> x_1 + ... + x_i."""
-    images = [Poly.variable(f.arity, 0)]
-    for i in range(1, f.arity):
-        images.append(images[-1] + Poly.variable(f.arity, i))
-    return f.substitute(images)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,10 @@ from doubleshuffle.exact_algebra import (_PRIME, Poly, divexact,
                                          format_rational, grlex_key,
                                          nullspace_int, parse_rational,
                                          rank_bareiss, rank_modular, span_rref)
-from poly_helpers import is_integral, is_settled, polys
+from doubleshuffle.double_shuffle import partial_sum_transform
+from doubleshuffle.words import translation_lift
+from poly_helpers import (is_integral, is_settled, lift_by_substitution,
+                          polys, psum_by_substitution)
 
 
 def random_poly(rng, arity, max_deg=3, max_terms=4):
@@ -194,6 +197,66 @@ def test_shift_matches_substitute(data, sign):
     shifted = f.shift(i, j, sign)
     assert shifted == f.substitute(images)
     assert is_settled(shifted)
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The (code, coefficient) dtypes of every reduction the shift kernel
+    runs."""
+    seen = []
+
+    def recorded(codes, coeffs):
+        seen.append((codes.dtype, coeffs.dtype))
+        return sum_equal_codes(codes, coeffs)
+
+    sum_equal_codes = exact_algebra._sum_equal_codes
+    monkeypatch.setattr(exact_algebra, "_sum_equal_codes", recorded)
+    return seen
+
+
+def exponents(arity, **exps):
+    """The exponent tuple with exps["x<k>"] at position k, else 0."""
+    return tuple(exps.get(f"x{k}", 0) for k in range(arity))
+
+
+def shift_by_substitution(f):
+    x = [Poly.variable(f.arity, k) for k in range(f.arity)]
+    return f.substitute([x[0], x[1] - x[0], *x[2:]])
+
+
+@pytest.mark.parametrize("f, dtypes", [
+    (Poly(3, {(2, 1, 0): 3, (0, 1, 2): -2, (1, 1, 1): 5}), (np.int64, np.int64)),
+    (Poly(3, {(2, 1, 0): Fraction(1, 3), (0, 1, 2): -2}), (np.int64, object)),
+    # 2^60 comb(7, 3) >= 2^63, and the lift's coefficients reach 9 * 2^60
+    (Poly(2, {(3, 3): 2 ** 60, (6, 0): 1}), (np.int64, object)),
+    # b = 66 at arity 11: b^11 >= 2^63, but 1 * comb(66, 33) < 2^63
+    (Poly(11, {exponents(11, x0=65): 1, exponents(11, x0=30, x1=35): -1}),
+     (object, np.int64)),
+    # b = 151 at arity 9: b^9 >= 2^63, and comb(151, 75) >= 2^63
+    (Poly(9, {exponents(9, x0=150): 1, exponents(9, x0=100, x1=50): -2}),
+     (object, object)),
+])
+def test_shift_kernel_dtype_paths(kernel_dtypes, f, dtypes):
+    # every map starts in the same dtypes; coefficients only ever widen
+    for shifted, oracle in ((translation_lift, lift_by_substitution),
+                            (partial_sum_transform, psum_by_substitution),
+                            (lambda g: g.shift(1, 0, -1), shift_by_substitution)):
+        kernel_dtypes.clear()
+        result = shifted(f)
+        assert result == oracle(f) and is_settled(result)
+        assert kernel_dtypes[0] == tuple(map(np.dtype, dtypes))
+        assert {code for code, _ in kernel_dtypes} == {np.dtype(dtypes[0])}
+        assert kernel_dtypes == sorted(kernel_dtypes,
+                                       key=lambda d: d[1] == object)
+
+
+def test_shift_kernel_widens_per_shift(kernel_dtypes):
+    # after y_1 -> y_1 - y_0 the coefficients reach comb(65, 32), and
+    # comb(65, 32) comb(66, 33) >= 2^63: the next ten shifts run in objects
+    f = Poly(11, {exponents(11, x0=65): 1, exponents(11, x0=30, x1=35): -1})
+    assert translation_lift(f) == lift_by_substitution(f)
+    assert kernel_dtypes == ([(np.dtype(object), np.dtype(np.int64))]
+                             + [(np.dtype(object), np.dtype(object))] * 10)
 
 
 def test_shift_rejects_bad_arguments():

@@ -19,7 +19,7 @@ from doubleshuffle.words import (BINARY, INDEX, WordSum, coaction_component,
                                  weight, word_compose, word_exponents,
                                  word_to_str)
 from poly_helpers import (EXCEPTIONAL_WEIGHTS, exceptional_body, is_settled,
-                          polys)
+                          lift_by_substitution, polys)
 
 
 def random_word(rng, alphabet, max_len=4):
@@ -265,12 +265,6 @@ def test_translation_lift_round_trip_random():
         lifted = translation_lift(f)
         assert restrict_y0(lifted) == f
         assert is_translation_invariant(lifted)
-
-
-def lift_by_substitution(f):
-    """The lift as the generic substitution x_i -> y_i - y_0."""
-    y = [Poly.variable(f.arity + 1, i) for i in range(f.arity + 1)]
-    return f.substitute([v - y[0] for v in y[1:]])
 
 
 @settings(max_examples=60, deadline=None)
