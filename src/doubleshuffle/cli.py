@@ -8,7 +8,7 @@ Output is TSV (tab separators, LF line endings) or JSON with the schema
 
 Exit codes: 0 success / all cells match; 1 empty domain or failed check;
 2 usage error (anything wrong in argv, found before the work starts);
-3 internal fault (a failed assertion or a ValueError from the library).
+3 internal fault (a failed assertion, a library ValueError or an OSError).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def _emit(args, command: str, params: dict, rows: list[list],
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a failed write raises here, not at exit
 
 
 def _map_cells(fn, cells, jobs: int):
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return 2
     except (AssertionError, ValueError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # a failed output write
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,4 +1,4 @@
-"""Linearized double shuffle equations: constraint assembly and solving.
+"""Linearized double shuffle equations, solved in free-Lie coordinates.
 
 For a fixed weight N and depth r the unknowns are the coefficients of a
 homogeneous polynomial f in x_1..x_r of degree N-r.  The constraints come
@@ -9,11 +9,12 @@ in two families per split k in 1..r-1:
     f(x_{i_1}, x_{i_1}+x_{i_2}, ...) (the linearized first product),
 
 where the argument labels run over the shuffles of (1..k) and (k+1..r).
-The shuffle product commutes, so split r-k gives the rows of split k with
-the variables rotated: the same set of rows.  Only the splits k <= r/2 are
-assembled, and each distinct row is kept once.  In depth 1 there are no
-splits; even weights (and the degenerate weight 1) are forced to zero.  The
-solution space is extracted as a deterministic reduced-echelon nullspace.
+Read x^a as the word y_{a_1}...y_{a_r}: the first family makes f orthogonal
+to every shuffle, so f = B a is a Lie polynomial on the standard bracketings
+B of the Lyndon words (Ree).  Only the second family is assembled, on a, for
+k <= r/2 (split r-k gives the rows of split k with the variables rotated).
+In depth 1 even weights and weight 1 are forced to zero.  The deterministic
+basis is in reduced echelon form on the monomials.
 
 A word-level route (shuffle constraints on binary words plus index-word
 shuffle constraints) is kept fully independent of the polynomial route and
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, lcm
 from operator import itemgetter
 
 import numpy as np
@@ -72,82 +74,69 @@ def partial_sum_transform(f: Poly) -> Poly:
     return _shifted(f, [(i, i - 1, 1) for i in range(f.arity - 1, 0, -1)])
 
 
-def _partial_sum_matrix(monomials: list[tuple[int, ...]],
-                        dtype) -> np.ndarray:
-    """The matrix of ``partial_sum_transform`` on the monomial basis, column
-    j the image of monomial j, shifted on all columns at once as keys
-    ncols * code + column, code in radix b = degree + 1.  The basis is in
-    lex order, so an image finds its row by binary search."""
+def _bracketing(w: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The signed monomials, equal ones not yet summed, of the standard
+    bracketing [P(u), P(v)] of a Lyndon word w in the reversed letter order,
+    v its least proper suffix in that order.  Summed, w is the greatest
+    one, with coefficient 1 (Reutenauer, Free Lie Algebras, Thm 5.1)."""
+    if len(w) == 1:
+        return [(w, 1)]
+    i = min(range(1, len(w)), key=lambda i: [-a for a in w[i:]])
+    return [term for u, p in _bracketing(w[:i]) for v, q in _bracketing(w[i:])
+            for term in ((u + v, p * q), (v + u, -p * q))]
+
+
+def _psum_columns(monomials: list[tuple[int, ...]], lie: np.ndarray, L: int,
+                  dtype) -> np.ndarray:
+    """psum B: column l the ``partial_sum_transform`` of bracketing l, all
+    shifted at once as keys L * code + column, code in radix b = degree + 1.
+    The basis is in lex order, so an image finds its row by binary search."""
+    at, col, coeff = lie
     ncols, r = len(monomials), len(monomials[0])
     b = sum(monomials[0]) + 1
     radix = b ** np.arange(r - 1, -1, -1, dtype=np.int64)
     codes = np.array(monomials, dtype=np.int64) @ radix
     keys, coeffs = _binomial_shift(
-        codes * ncols + np.arange(ncols), np.ones(ncols, dtype=dtype),
-        ncols * radix, b, [(i, i - 1, 1) for i in range(r - 1, 0, -1)])
-    psum = np.zeros((ncols, ncols), dtype=dtype)
-    psum[np.searchsorted(codes, keys // ncols), keys % ncols] = coeffs
+        codes[at] * L + col, coeff.astype(dtype), L * radix, b,
+        [(i, i - 1, 1) for i in range(r - 1, 0, -1)])
+    psum = np.zeros((ncols, L), dtype=dtype)
+    psum[np.searchsorted(codes, keys // L), keys % L] = coeffs
     return psum
 
 
-# Rows of a family summed at once: bounds the gathered copies of psum.
-_BLOCK = 512
-
-
-def assemble_constraints(N: int, r: int) -> tuple[np.ndarray,
-                                                 list[tuple[int, ...]]]:
-    """Distinct nonzero integer constraint rows on the monomial coefficient
-    vector, as one array, and the monomials indexing its columns."""
+def _lie_system(N: int, r: int) -> tuple:
+    """The second family's integer rows on the Lie coordinates a of f = B a,
+    ncols rows per split k <= r/2 in one array; B's entries; the monomials."""
     if r < 1 or N < r:
         raise ValueError(f"invalid weight/depth ({N}, {r})")
     monomials = monomial_basis(N, r)
-    ncols = len(monomials)
-    if r == 1:
-        # the single unknown is forced to zero at even weight and weight 1
-        return np.ones((int(N % 2 == 0 or N == 1), 1), dtype=np.int64), monomials
-    # the keys that _partial_sum_matrix packs must fit in int64
-    if ncols * (N - r + 1) ** r >= 2 ** 63:
+    # Lyndon in the reversed letter order: above each proper rotation
+    lyndon = [m for m in monomials
+              if all(m > m[i:] + m[:i] for i in range(1, r))]
+    L = len(lyndon)
+    # the keys that _psum_columns packs must fit in int64
+    if L * (N - r + 1) ** r >= 2 ** 63:
         raise ValueError(f"({N}, {r}) is too large to assemble")
-
     index = {m: j for j, m in enumerate(monomials)}
-    # an expansion coefficient is at most r^(N-r) (set every x_j = 1), and a
-    # row entry sums at most comb(r, r // 2) of them
-    dtype = np.int64 if r ** (N - r) * comb(r, r // 2) < 2 ** 63 else object
-    psum = _partial_sum_matrix(monomials, dtype)
-    # every family is written into one array and its kept rows moved forward
-    out = np.empty(((1 + (N > r)) * (r // 2) * ncols, ncols), dtype=dtype)
-    filled = 0
-    for k in range(1, r // 2 + 1):
-        # row t of a family sums, over the shuffles seq, the base row of the
-        # monomial that seq relabels to t (position j goes to seq[j] - 1)
-        sources = np.array([list(map(index.__getitem__,
-                                     map(itemgetter(*(s - 1 for s in seq)),
-                                         monomials)))
-                            for seq in _label_shuffles(k, r)])
-        # at k = r/2 the two label blocks have equal length, so the rows of t
-        # and of t rotated by k coincide: keep the one of lower index
-        first = (np.arange(ncols) <= [index[m[k:] + m[:k]] for m in monomials]
-                 if 2 * k == r else True)
-        # the identity's family, then psum's; at degree 0 psum is the
-        # identity, and its family gives every row
-        for identity in (True, False) if N > r else (False,):
-            # the slice may hold rows of an earlier family: clear it first
-            family = out[filled:filled + ncols]
-            family[:] = 0
-            if identity:
-                # row t of the identity's family is 1 at each source[t]
-                np.add.at(family, (np.arange(ncols), sources), 1)
-            else:
-                # _BLOCK rows at a time, so no gathered copy of psum is whole
-                for lo in range(0, ncols, _BLOCK):
-                    for source in sources[:, lo:lo + _BLOCK]:
-                        family[lo:lo + _BLOCK] += psum[source]
-            keep = family.any(axis=1) & first
-            kept = int(np.count_nonzero(keep))
-            if kept < ncols:
-                out[filled:filled + kept] = family[keep]
-            filled += kept
-    return out[:filled], monomials
+    # the entries (row, column, coefficient) of B: column l brackets lyndon[l]
+    lie = np.array([(index[m], l, c) for l, w in enumerate(lyndon)
+                    for m, c in _bracketing(w)], dtype=np.int64).reshape(-1, 3).T
+    if r == 1 or not L:
+        # depth 1: the unknown is forced to zero at even weight and weight 1;
+        # degree 0 in depth >= 2: no Lyndon word, so no unknown
+        return (np.ones((int(r == 1 and (N % 2 == 0 or N == 1)), L),
+                        dtype=np.int64), lie, monomials)
+    # |coefficients| of a bracketing sum to at most 2^(r-1), of an expansion
+    # to r^(N-r) (every x_j = 1), and a row entry sums comb(r, k) entries
+    dtype = (np.int64 if 2 ** (r - 1) * r ** (N - r) * comb(r, r // 2) < 2 ** 63
+             else object)
+    psum = _psum_columns(monomials, lie, L, dtype)
+    # row t of split k sums, over the shuffles seq, the psum row of the
+    # monomial that seq relabels to t (position j goes to seq[j] - 1)
+    rows = [sum(psum[[index[m] for m in map(itemgetter(*(s - 1 for s in seq)),
+                                            monomials)]]
+                for seq in _label_shuffles(k, r)) for k in range(1, r // 2 + 1)]
+    return np.concatenate(rows), lie, monomials
 
 
 def _space(N: int, r: int, monomials: list[tuple[int, ...]],
@@ -159,16 +148,31 @@ def _space(N: int, r: int, monomials: list[tuple[int, ...]],
 
 
 def solve(N: int, r: int) -> SolutionSpace:
-    """Deterministic reduced-echelon basis of the solution space."""
-    rows, monomials = assemble_constraints(N, r)
-    return _space(N, r, monomials, nullspace_int(rows, len(monomials)))
+    """Deterministic reduced-echelon basis of the solution space: one vector
+    per free monomial, 1 there, 0 at the others, and 0 after it."""
+    rows, (at, col, coeff), monomials = _lie_system(N, r)
+    kernel = nullspace_int(rows, rows.shape[1])
+    # f = B (d a), d a's denominator, ends at its free column's Lyndon word,
+    # with value d: one unit-triangular pass clears these from later f's
+    vectors = np.zeros((len(kernel), len(monomials)), dtype=object)
+    for j, (f, a) in enumerate(zip(vectors, kernel)):
+        d = lcm(*(x.denominator for x in a))
+        np.add.at(f, at, np.array([int(x * d) for x in a], dtype=object)[col]
+                  * coeff)
+        for g in vectors[:j]:
+            e = np.flatnonzero(g)[-1]
+            f[:] = f * g[e] - f[e] * g
+        f //= gcd(*f)
+    return _space(N, r, monomials, [f / Fraction(f[np.flatnonzero(f)[-1]])
+                                    for f in vectors])
 
 
 def dimension(N: int, r: int) -> int:
-    """dim of the solution space (zero is certified by the mod-p rank inside
-    ``nullspace_int``)."""
-    rows, monomials = assemble_constraints(N, r)
-    return len(nullspace_int(rows, len(monomials)))
+    """dim of the solution space: the second family's nullity on the Lie
+    coordinates (B is injective; im B is the first family's kernel by Ree's
+    theorem), certified by ``nullspace_int``'s exact check and mod-p bound."""
+    rows = _lie_system(N, r)[0]
+    return len(nullspace_int(rows, rows.shape[1]))
 
 
 def membership_test(f: DepthPoly) -> bool:

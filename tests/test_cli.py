@@ -2,6 +2,10 @@
 format round-trips and determinism across parallelism degrees."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,3 +454,24 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, target)
     err = capsys.readouterr().err
     assert err.startswith("usage error: --output") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_failed_output_write_is_internal_fault(to_file):
+    # a write that fails for want of space: one error line and exit 3,
+    # through a fresh interpreter, so an uncaught traceback would show
+    if to_file and not os.access("/dev", os.W_OK):
+        pytest.skip("--output /dev/full needs a writable /dev")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "doubleshuffle.cli", "dims",
+            "--max-weight", "8", "--max-depth", "2"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv + ["--output", "/dev/full"] * to_file,
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: [Errno 28]")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr

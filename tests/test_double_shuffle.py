@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 
 from doubleshuffle import exact_algebra
-from doubleshuffle.double_shuffle import (_label_shuffles,
-                                          _partial_sum_matrix,
-                                          assemble_constraints, dimension,
-                                          iterated_bracket_span,
+from doubleshuffle.double_shuffle import (_bracketing, _label_shuffles,
+                                          _lie_system, _psum_columns,
+                                          dimension, iterated_bracket_span,
                                           membership_test, monomial_basis,
                                           partial_sum_transform, solve,
                                           solve_words)
 from doubleshuffle.exact_algebra import (Poly, nullspace_int, rank_bareiss,
-                                         span_rref)
+                                         rank_modular, span_rref)
 from doubleshuffle.exceptional import exceptional_elements
 from doubleshuffle.ihara import (DepthPoly, bracket, depth1_generator,
                                  in_dihedral_space, poly_compose)
 from doubleshuffle.period_poly import cusp_dimension
+from doubleshuffle.series import free_lie_dims
 from doubleshuffle.words import translation_lift
 from poly_helpers import (EXCEPTIONAL_WEIGHTS, exceptional_body, is_settled,
                           polys, psum_by_substitution)
@@ -66,76 +66,154 @@ def partial_sum_expansion(m):
     return acc
 
 
+def lyndon_monomials(N, r):
+    """Monomials whose negated word is strictly below each proper rotation
+    of it: the Lyndon words in the reversed letter order."""
+    def neg(w):
+        return tuple(-a for a in w)
+    return [m for m in monomial_basis(N, r)
+            if all(neg(m) < neg(m[i:] + m[:i]) for i in range(1, r))]
+
+
+def bracketings(N, r):
+    """The columns of the Lie basis B as {monomial: coefficient} maps."""
+    columns = []
+    for word in lyndon_monomials(N, r):
+        terms = {}
+        for m, c in _bracketing(word):
+            terms[m] = terms.get(m, 0) + c
+        columns.append({m: c for m, c in terms.items() if c})
+    return columns
+
+
 def test_partial_sum_matrix_matches_transform():
-    # column j is the image of monomial j, by Poly shifts and by expansion
-    cells = [(N, r) for r in range(2, 5) for N in range(r, 15)]
-    cells += [(N, 5) for N in range(5, 14)]
-    # int64 up to (63, 2), Python ints in an object array from (64, 2)
-    cells += [(63, 2), (64, 2), (70, 2)]
+    # psum column l is the image of bracketing l, by Poly shifts and by
+    # expansion
+    cells = [(N, r) for r in range(2, 5) for N in range(r + 1, 15)]
+    cells += [(N, 5) for N in range(6, 14)]
+    # int64 and, past the int64 bound, Python ints in an object array
+    cells += [(62, 2), (63, 2), (70, 2)]
     for N, r in cells:
         monomials = monomial_basis(N, r)
-        dtype = object if N >= 64 else np.int64
-        psum = _partial_sum_matrix(monomials, dtype)
+        dtype = object if N >= 63 else np.int64
+        columns = bracketings(N, r)
+        psum = _psum_columns(monomials, _lie_system(N, r)[1], len(columns),
+                             dtype)
         assert psum.dtype == dtype, (N, r)
-        assert psum.shape == (len(monomials), len(monomials)), (N, r)
+        assert psum.shape == (len(monomials), len(columns)), (N, r)
         if dtype is object:
             assert {type(x) for x in psum.flat} == {int}
-        for j, m in enumerate(monomials):
+        for l, terms in enumerate(columns):
             column = {monomials[i]: c
-                      for i, c in enumerate(psum[:, j].tolist()) if c}
-            assert column == partial_sum_transform(Poly.monomial(m)).terms, m
-            assert column == partial_sum_expansion(m), m
+                      for i, c in enumerate(psum[:, l].tolist()) if c}
+            assert column == partial_sum_transform(Poly(r, terms)).terms, terms
+            expansion = {}
+            for m, c in terms.items():
+                for e, x in partial_sum_expansion(m).items():
+                    expansion[e] = expansion.get(e, 0) + c * x
+            assert column == {e: x for e, x in expansion.items() if x}, terms
 
 
-def every_split_rows(N, r):
-    """Rows of both families for every split k = 1..r-1, relabelled term by
-    term, without using the split symmetry."""
-    monomials = monomial_basis(N, r)
+def split_rows(monomials, images):
+    """Rows of the argument-shuffle sums of the images of the monomials for
+    every split k = 1..r-1, relabelled term by term, without using the split
+    symmetry."""
+    r = len(monomials[0])
     rows = set()
     for k in range(1, r):
         seqs = _label_shuffles(k, r)
-        for family in ([{m: 1} for m in monomials],
-                       [partial_sum_expansion(m) for m in monomials]):
-            targets = {}
-            for j, terms in enumerate(family):
-                for seq in seqs:
-                    for exps, coeff in terms.items():
-                        out = [0] * r
-                        for i, e in enumerate(exps):
-                            out[seq[i] - 1] = e
-                        row = targets.setdefault(tuple(out), [0] * len(monomials))
-                        row[j] += coeff
-            rows.update(tuple(row) for row in targets.values() if any(row))
+        targets = {}
+        for j, terms in enumerate(images):
+            for seq in seqs:
+                for exps, coeff in terms.items():
+                    out = [0] * r
+                    for i, e in enumerate(exps):
+                        out[seq[i] - 1] = e
+                    row = targets.setdefault(tuple(out), [0] * len(monomials))
+                    row[j] += coeff
+        rows.update(tuple(row) for row in targets.values() if any(row))
     return rows
 
 
+def shuffle_rows(N, r):
+    """The first family: argument shuffles of f itself."""
+    monomials = monomial_basis(N, r)
+    return split_rows(monomials, [{m: 1} for m in monomials])
+
+
+def every_split_rows(N, r):
+    """Rows of both families for every split k = 1..r-1."""
+    monomials = monomial_basis(N, r)
+    return shuffle_rows(N, r) | split_rows(
+        monomials, [partial_sum_expansion(m) for m in monomials])
+
+
+def test_shuffle_family_kernel_is_the_lie_basis():
+    # Ree's theorem in range: the Lie coordinates solve the first family
+    # exactly, so dimension and solve need only the second
+    for r in range(2, 6):
+        lie = free_lie_dims(range(1, 17), 16, r)
+        for N in range(r, 17):
+            monomials = monomial_basis(N, r)
+            columns = bracketings(N, r)
+            L = len(columns)
+            assert L == lie.get((N, r), 0), (N, r)
+            B = np.array([[col.get(m, 0) for col in columns]
+                          for m in monomials], dtype=np.int64)
+            S = np.array(sorted(shuffle_rows(N, r)), dtype=np.int64)
+            # every bracketing is annihilated: exactly, as every partial sum
+            # of the float64 product is an integer below 2^53
+            assert abs(S).sum(axis=1).max() * abs(B).max(initial=0) < 2 ** 53
+            assert not (S.astype(float) @ B).any(), (N, r)
+            # and the mod-p nullity, an upper bound for the nullity over Q,
+            # is L
+            assert len(monomials) - rank_modular(S, len(monomials)) == L
+            # B is injective: each bracketing ends at its Lyndon word, with
+            # coefficient 1
+            for word, col in zip(lyndon_monomials(N, r), columns):
+                assert max(col) == word and col[word] == 1, (N, r)
+
+
 def test_half_splits_give_every_split_row():
-    # splits k and r-k give the same rows, so only k <= r/2 is assembled
+    # the Lie coordinates and the splits k <= r/2 give the solutions of both
+    # families for every split
     cells = [(N, r) for r in range(2, 5) for N in range(r, 15)]
     cells += [(N, 5) for N in range(5, 12)]
-    # r = 2 assembles in int64 up to N = 63 and in the object dtype from N = 64
-    cells += [(63, 2), (64, 2), (70, 2)]
+    # r = 2 assembles in int64 up to N = 62 and in the object dtype from 63
+    cells += [(62, 2), (63, 2), (70, 2)]
     for N, r in cells:
-        rows = list(map(tuple, assemble_constraints(N, r)[0].tolist()))
-        assert len(set(rows)) == len(rows), (N, r)
-        assert set(rows) == every_split_rows(N, r), (N, r)
+        monomials = monomial_basis(N, r)
+        expected = nullspace_int(sorted(every_split_rows(N, r)),
+                                 len(monomials))
+        assert [[b.body.coefficient(m) for m in monomials]
+                for b in solve(N, r).basis] == expected, (N, r)
 
 
 def test_assembly_returns_one_integer_array():
-    rows, monomials = assemble_constraints(14, 5)
-    assert rows.dtype == np.int64 and rows.shape[1] == len(monomials)
-    # entries may pass 2**63 from (64, 2) on: Python ints in an object array
-    rows, monomials = assemble_constraints(64, 2)
-    assert rows.dtype == object and rows.shape[1] == len(monomials)
-    assert {type(x) for x in rows.flat} == {int}
+    rows, lie, monomials = _lie_system(14, 5)
+    assert rows.dtype == np.int64
+    assert rows.shape == (2 * len(monomials), len(lyndon_monomials(14, 5)))
+    # entries may pass 2**63 from (63, 2) and (41, 3) on: Python ints in an
+    # object array
+    for N, r, dtype in [(62, 2, np.int64), (63, 2, object),
+                        (40, 3, np.int64), (41, 3, object)]:
+        rows = _lie_system(N, r)[0]
+        assert rows.dtype == dtype, (N, r)
+        if dtype is object:
+            assert {type(x) for x in rows.flat} == {int}
+    # both sides of the bound solve exactly, by the depth-3 exact sequence
+    for N in (39, 41):
+        assert dimension(N, 3) == depth3_dimension(N)
     # depth 1: one row forcing the unknown to zero, or none
-    assert assemble_constraints(4, 1)[0].shape == (1, 1)
-    assert assemble_constraints(3, 1)[0].shape == (0, 1)
+    assert _lie_system(4, 1)[0].shape == (1, 1)
+    assert _lie_system(3, 1)[0].shape == (0, 1)
+    # degree 0 in depth >= 2: no Lyndon word, no unknowns
+    assert _lie_system(4, 4)[0].shape == (0, 0)
 
 
 def test_depth1_even_weight_full_rank():
-    rows, monomials = assemble_constraints(4, 1)
-    assert rank_bareiss(rows) == len(monomials)  # no solutions
+    rows = _lie_system(4, 1)[0]
+    assert rank_bareiss(rows) == rows.shape[1]  # no solutions
 
 
 def test_depth2_solution_structure():
@@ -178,8 +256,8 @@ def test_bracket_path_avoids_generic_substitution(monkeypatch):
 
 
 def test_nullspace_weight12_depth2():
-    rows, monomials = assemble_constraints(12, 2)
-    assert len(nullspace_int(rows, len(monomials))) == 1
+    rows = _lie_system(12, 2)[0]
+    assert len(nullspace_int(rows, rows.shape[1])) == 1
 
 
 # -- solving ----------------------------------------------------------------
@@ -220,7 +298,7 @@ def test_dimension_makes_one_modp_pass(monkeypatch):
     for N, r, dim in [(14, 4, 1), (13, 5, 0)]:
         calls.clear()
         assert dimension(N, r) == dim
-        assert calls == [len(monomial_basis(N, r))], (N, r)
+        assert calls == [len(lyndon_monomials(N, r))], (N, r)
 
 
 def test_solve_depth5_weight13_is_zero():
@@ -240,16 +318,29 @@ def test_invalid_cells_raise():
     with pytest.raises(ValueError):
         solve(3, 4)
     with pytest.raises(ValueError):
-        assemble_constraints(2, 0)
-    # the packed keys of the partial-sum matrix would overflow int64
+        dimension(2, 0)
+    # the packed keys of the psum columns, L * 3^40 and more, would overflow
+    # int64
     with pytest.raises(ValueError, match="too large"):
-        assemble_constraints(37, 35)
+        dimension(42, 40)
 
 
 def test_dimension_agrees_with_solve():
     for r in range(1, 4):
         for N in range(r, 13):
             assert dimension(N, r) == solve(N, r).dimension
+
+
+def test_basis_is_reduced_at_its_last_monomials():
+    # one vector per free monomial, its last: 1 there and 0 at the others;
+    # at (18,4) the kernel vectors mapped through B need the clearing pass
+    for N, r, dim in [(17, 3, 4), (16, 4, 3), (18, 4, 5)]:
+        basis = solve(N, r).basis
+        last = [max(b.body.terms) for b in basis]
+        assert len(basis) == dim and last == sorted(set(last)), (N, r)
+        assert [[b.body.coefficient(m) for m in last] for b in basis] == \
+            [[int(i == j) for j in range(dim)] for i in range(dim)], (N, r)
+        assert all(membership_test(b) for b in basis), (N, r)
 
 
 def test_solve_deterministic():
@@ -297,15 +388,18 @@ def test_depth2_exact_sequence():
         assert dimension(N, 2) == wedge_sq_depth1_dim(N) - cusp_dimension(N)
 
 
-def test_depth3_exact_sequence():
-    from doubleshuffle.series import free_lie_dims
+def depth3_dimension(N):
+    """dim of the depth-3 cell by the exact sequence: free Lie brackets of
+    three odd generators minus cusp forms tensor one odd generator."""
+    lie3 = free_lie_dims(list(range(3, N + 1, 2)), N, 3).get((N, 3), 0)
+    tensor = sum(cusp_dimension(k) for k in range(12, N - 2, 2)
+                 if (N - k) % 2 == 1 and N - k >= 3)
+    return lie3 - tensor
 
-    lie = free_lie_dims(list(range(3, 18, 2)), 17, 3)
+
+def test_depth3_exact_sequence():
     for N in range(3, 18):
-        lie3 = lie.get((N, 3), 0)
-        tensor = sum(cusp_dimension(k) for k in range(12, N - 2, 2)
-                     if (N - k) % 2 == 1 and N - k >= 3)
-        assert dimension(N, 3) == lie3 - tensor
+        assert dimension(N, 3) == depth3_dimension(N)
 
 
 # -- spans of iterated brackets --------------------------------------------------
