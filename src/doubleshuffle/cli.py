@@ -8,7 +8,8 @@ Output is TSV (tab separators, LF line endings) or JSON with the schema
 
 Exit codes: 0 success / all cells match; 1 empty domain or failed check;
 2 usage error (anything wrong in argv, found before the work starts);
-3 internal fault (a failed assertion, a library ValueError or an OSError).
+3 internal fault (any other exception, one ``internal error:`` line) or a
+failed output write.
 """
 
 from __future__ import annotations
@@ -393,11 +394,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ValueError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:  # a failed output write
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other fault, a failed assertion included
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -13,8 +13,10 @@ Read x^a as the word y_{a_1}...y_{a_r}: the first family makes f orthogonal
 to every shuffle, so f = B a is a Lie polynomial on the standard bracketings
 B of the Lyndon words (Ree).  Only the second family is assembled, on a, for
 k <= r/2 (split r-k gives the rows of split k with the variables rotated).
-In depth 1 even weights and weight 1 are forced to zero.  The deterministic
-basis is in reduced echelon form on the monomials.
+``membership_test`` reads the same argument-shuffle sums, both families at
+once, on the coefficients of f and of its partial-sum transform.  In depth 1
+even weights and weight 1 are forced to zero.  The deterministic basis is in
+reduced echelon form on the monomials.
 
 A word-level route (shuffle constraints on binary words plus index-word
 shuffle constraints) is kept fully independent of the polynomial route and
@@ -104,6 +106,18 @@ def _psum_columns(monomials: list[tuple[int, ...]], lie: np.ndarray, L: int,
     return psum
 
 
+def _shuffle_sums(mat: np.ndarray, index: dict) -> np.ndarray:
+    """The argument-shuffle sums of the rows of ``mat``, one row per monomial
+    of ``index`` (monomial -> row, in row order), ncols rows per split
+    k <= r/2: row t of split k sums, over the shuffles seq, the row of the
+    monomial that seq relabels to t (position j goes to seq[j] - 1)."""
+    r = len(next(iter(index)))
+    return np.concatenate([
+        sum(mat[[index[m] for m in map(itemgetter(*(s - 1 for s in seq)),
+                                       index)]]
+            for seq in _label_shuffles(k, r)) for k in range(1, r // 2 + 1)])
+
+
 def _lie_system(N: int, r: int) -> tuple:
     """The second family's integer rows on the Lie coordinates a of f = B a,
     ncols rows per split k <= r/2 in one array; B's entries; the monomials."""
@@ -131,12 +145,7 @@ def _lie_system(N: int, r: int) -> tuple:
     dtype = (np.int64 if 2 ** (r - 1) * r ** (N - r) * comb(r, r // 2) < 2 ** 63
              else object)
     psum = _psum_columns(monomials, lie, L, dtype)
-    # row t of split k sums, over the shuffles seq, the psum row of the
-    # monomial that seq relabels to t (position j goes to seq[j] - 1)
-    rows = [sum(psum[[index[m] for m in map(itemgetter(*(s - 1 for s in seq)),
-                                            monomials)]]
-                for seq in _label_shuffles(k, r)) for k in range(1, r // 2 + 1)]
-    return np.concatenate(rows), lie, monomials
+    return _shuffle_sums(psum, index), lie, monomials
 
 
 def _space(N: int, r: int, monomials: list[tuple[int, ...]],
@@ -177,26 +186,16 @@ def dimension(N: int, r: int) -> int:
 
 def membership_test(f: DepthPoly) -> bool:
     """True iff f satisfies every linearized double shuffle constraint at
-    its own weight and depth."""
-    r = f.depth
-    body = f.body
-    if r == 0:
-        return body.is_zero()
-    if body.is_zero():
-        return True
-    if r == 1:
-        return f.weight % 2 == 1 and f.weight >= 3
+    its own weight and depth: in depth >= 2, the argument-shuffle sums that
+    ``_lie_system`` assembles, read on f and on its partial-sum transform."""
+    r, body = f.depth, f.body
+    if r <= 1 or body.is_zero():
+        return body.is_zero() or (r == 1 and f.weight % 2 == 1 and f.weight >= 3)
+    index = {m: j for j, m in enumerate(monomial_basis(f.weight, r))}
     sharp = partial_sum_transform(body)
-    for k in range(1, r // 2 + 1):
-        arg_sum = Poly.zero(r)
-        sharp_sum = Poly.zero(r)
-        for seq in _label_shuffles(k, r):
-            perm = [seq[i] - 1 for i in range(r)]
-            arg_sum = arg_sum + body.permute_variables(perm)
-            sharp_sum = sharp_sum + sharp.permute_variables(perm)
-        if not arg_sum.is_zero() or not sharp_sum.is_zero():
-            return False
-    return True
+    coeffs = np.array([(body.coefficient(m), sharp.coefficient(m))
+                       for m in index], dtype=object)
+    return not _shuffle_sums(coeffs, index).any()
 
 
 def ls_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:

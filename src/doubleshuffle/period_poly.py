@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .exact_algebra import Poly, divexact, grlex_key, nullspace_int
+from .words import compositions
 
 
 @dataclass
@@ -56,13 +57,9 @@ def _three_term(P: Poly) -> Poly:
     return P + P.substitute([X - Y, X]) + P.substitute([Y.scale(-1), X - Y])
 
 
-def _monomials(degree: int) -> list[tuple[int, int]]:
-    return sorted(((a, degree - a) for a in range(degree + 1)), key=grlex_key)
-
-
 def _condition_rows(twoN: int, cuspidal: bool) -> tuple[list[list[int]], list[tuple[int, int]]]:
     degree = twoN - 2
-    monos = _monomials(degree)
+    monos = [(a - 1, b - 1) for a, b in compositions(twoN, 2)]
     col_of = {m: j for j, m in enumerate(monos)}
     ncols = len(monos)
     rows: list[list[int]] = []
@@ -132,17 +129,13 @@ def primitive_integral(P: Poly) -> Poly:
     graded-lex coefficient (the canonical generator normalization)."""
     if P.is_zero():
         return P
-    denom = 1
-    for c in P.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in P.terms.values()))
     ints = {e: int(c * denom) for e, c in P.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    g = gcd(*ints.values())
     lead = max(ints, key=grlex_key)
     if ints[lead] < 0:
         g = -g
-    return Poly(2, {e: v // g for e, v in ints.items()}, _clean=True)
+    return Poly(P.arity, {e: v // g for e, v in ints.items()}, _clean=True)
 
 
 def _bracket_pair(a: int, b: int) -> Poly:

@@ -77,10 +77,7 @@ class BiSeries:
                          for ra, rb in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: BiSeries) -> BiSeries:
-        self._check(other)
-        return BiSeries(self.max_s, self.max_t,
-                        [[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.coeffs, other.coeffs)])
+        return self + other.scale(-1)
 
     def scale(self, factor: int) -> BiSeries:
         return BiSeries(self.max_s, self.max_t,
@@ -232,21 +229,6 @@ def _mobius(n: int) -> int:
     return result
 
 
-def _series_pow(v: list[int], k: int, max_s: int) -> list[int]:
-    out = [0] * (max_s + 1)
-    out[0] = 1
-    for _ in range(k):
-        new = [0] * (max_s + 1)
-        for i, a in enumerate(out):
-            if not a:
-                continue
-            for j, b in enumerate(v[:max_s - i + 1]):
-                if b:
-                    new[i + j] += a * b
-        out = new
-    return out
-
-
 def free_lie_dims(gen_weights: list[int], max_s: int, max_depth: int) -> DimTable:
     """Dimensions of the free Lie algebra on one generator per listed
     weight, graded by (weight, number of generator factors).
@@ -260,23 +242,21 @@ def free_lie_dims(gen_weights: list[int], max_s: int, max_depth: int) -> DimTabl
             v[w] += 1
     table: DimTable = {}
     for d in range(1, max_depth + 1):
-        acc = [0] * (max_s + 1)
+        acc = BiSeries.zero(max_s, 0)
         for e in range(1, d + 1):
-            if d % e:
-                continue
             mu = _mobius(e)
-            if mu == 0:
+            if d % e or not mu:
                 continue
-            ve = [0] * (max_s + 1)
-            for n, value in enumerate(v):
-                if value and n * e <= max_s:
-                    ve[n * e] = value
-            power = _series_pow(ve, d // e, max_s)
-            for n in range(max_s + 1):
-                acc[n] += mu * power[n]
-        for n in range(max_s + 1):
-            if acc[n]:
-                q, rem = divmod(acc[n], d)
+            # v(s^e)^(d/e)
+            ve = BiSeries.from_s_coeffs([0 if n % e else v[n // e]
+                                         for n in range(max_s + 1)], max_s, 0)
+            power = BiSeries.one(max_s, 0)
+            for _ in range(d // e):
+                power = power * ve
+            acc = acc + power.scale(mu)
+        for n, count in enumerate(acc.t_at_one()):
+            if count:
+                q, rem = divmod(count, d)
                 assert rem == 0, "necklace count not divisible by depth"
                 table[(n, d)] = q
     return table

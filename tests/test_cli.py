@@ -284,6 +284,22 @@ def test_library_value_error_is_internal(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("error", [IndexError, TypeError, ZeroDivisionError,
+                                   RecursionError, MemoryError])
+def test_any_internal_fault_exits_3_on_one_line(capsys, monkeypatch, error):
+    def broken(N, r):
+        raise error("fault inside the library")
+
+    monkeypatch.setattr(cli, "dimension", broken)
+    code = main(["dims", "--max-weight", "3", "--max-depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"internal error: {error.__name__}: "
+                            "fault inside the library\n")
+    assert "Traceback" not in captured.err
+
+
 def test_period_dump(capsys):
     code, out = run(capsys, "period", "--weight", "12")
     assert code == 0

@@ -1,5 +1,6 @@
 """Tests for constraint assembly, solution spaces and the word-level oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,50 @@ def test_membership_depth1():
         assert membership_test(depth1_generator(2 * n + 1))
     cube = DepthPoly(1, 4, Poly.monomial((3,)))
     assert not membership_test(cube)
+
+
+def shuffle_family_vanishes(p):
+    """Every argument-shuffle sum of p vanishes, over every split k, each
+    sum formed term by term with ``permute_variables``."""
+    r = p.arity
+    return all(sum((p.permute_variables([s - 1 for s in seq])
+                    for seq in _label_shuffles(k, r)), Poly.zero(r)).is_zero()
+               for k in range(1, r))
+
+
+@pytest.mark.parametrize("N, r", [(8, 3), (10, 2), (12, 4)])
+def test_membership_rejects_either_family_alone(N, r):
+    # B's column 0 is a Lie polynomial outside ls: it fails only the
+    # partial-sum family.  Its inverse partial-sum transform
+    # x_i -> x_i - x_{i-1} fails only the shuffle family.
+    _, (at, col, coeff), monomials = _lie_system(N, r)
+    lie = sum((Poly.monomial(monomials[j], int(c))
+               for j, c in zip(at[col == 0], coeff[col == 0])), Poly.zero(r))
+    x = [Poly.variable(r, i) for i in range(r)]
+    inverse = lie.substitute([x[0]] + [x[i] - x[i - 1] for i in range(1, r)])
+    assert psum_by_substitution(inverse) == lie
+    assert shuffle_family_vanishes(lie)
+    assert not shuffle_family_vanishes(psum_by_substitution(lie))
+    assert not shuffle_family_vanishes(inverse)
+    for body in (lie, inverse):
+        assert not membership_test(DepthPoly(r, N, body)), (N, r)
+
+
+def test_membership_of_random_combinations():
+    # integer combinations of a basis are members; adding delta * x^m for a
+    # monomial m and delta != 0 leaves ls (x^m fails every shuffle sum)
+    rng = random.Random(18)
+    for r in range(2, 6):
+        for N in range(r, 15):
+            basis = [b.body for b in solve(N, r).basis]
+            for _ in range(3):
+                body = sum((b.scale(rng.randint(-4, 4)) for b in basis),
+                           Poly.zero(r))
+                assert membership_test(DepthPoly(r, N, body)), (N, r)
+                delta = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
+                m = rng.choice(monomial_basis(N, r))
+                off = body + Poly.monomial(m, delta)
+                assert not membership_test(DepthPoly(r, N, off)), (N, r, m)
 
 
 def test_membership_closure_under_bracket():

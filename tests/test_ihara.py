@@ -212,6 +212,8 @@ def test_integral_results_have_int_coefficients():
     assert is_integral(partial_sum_transform(body))
     for pp in integral_generators().values():
         assert is_integral(primitive_integral(pp.P.scale(Fraction(3, 7))))
+    # any arity: the depth-4 body comes back as itself, up to sign
+    assert primitive_integral(body.scale(Fraction(-3, 7))) in (body, -body)
 
 
 def test_weight_depth_additivity():

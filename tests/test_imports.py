@@ -1,0 +1,34 @@
+"""Every name imported into a module of the package is used there."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "doubleshuffle"
+
+# bound only so that the benchmark tracer can wrap them (perfbench/spans.py)
+ALLOWED_UNUSED = {("double_shuffle", "full_rank_certificate"),
+                  ("odd_mzv", "rank_bareiss")}
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # the allowed names must stay imported: the tracer wraps them by name
+    allowed = {name for module, name in ALLOWED_UNUSED if module == path.stem}
+    assert unused_imports(path) == allowed
