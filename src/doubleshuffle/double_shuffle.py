@@ -28,13 +28,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import itemgetter
 
 import numpy as np
 
 # full_rank_certificate is unused here but perfbench/spans.py wraps this name
-from .exact_algebra import (Poly, _binomial_shift, _shifted,
+from .exact_algebra import (Poly, _binomial_shift, _nullspace, _shifted,
                             full_rank_certificate, nullspace_int, span_rref)
 from .ihara import DepthPoly, bracket, depth1_generator
 from .words import (_shuffle_words, compositions, index_word_to_binary,
@@ -160,14 +160,14 @@ def solve(N: int, r: int) -> SolutionSpace:
     """Deterministic reduced-echelon basis of the solution space: one vector
     per free monomial, 1 there, 0 at the others, and 0 after it."""
     rows, (at, col, coeff), monomials = _lie_system(N, r)
-    kernel = nullspace_int(rows, rows.shape[1])
-    # f = B (d a), d a's denominator, ends at its free column's Lyndon word,
-    # with value d: one unit-triangular pass clears these from later f's
-    vectors = np.zeros((len(kernel), len(monomials)), dtype=object)
-    for j, (f, a) in enumerate(zip(vectors, kernel)):
-        d = lcm(*(x.denominator for x in a))
-        np.add.at(f, at, np.array([int(x * d) for x in a], dtype=object)[col]
-                  * coeff)
+    pivots, free, columns = _nullspace(rows, rows.shape[1])
+    # f = B a, a = d at free column c and n at the pivots, ends at c's Lyndon
+    # word, with value d: one unit-triangular pass clears these from later f's
+    vectors = np.zeros((len(free), len(monomials)), dtype=object)
+    for j, (f, c, (d, nums)) in enumerate(zip(vectors, free, columns)):
+        a = np.zeros(rows.shape[1], dtype=object)
+        a[pivots], a[c] = nums, d
+        np.add.at(f, at, a[col] * coeff)
         for g in vectors[:j]:
             e = np.flatnonzero(g)[-1]
             f[:] = f * g[e] - f[e] * g

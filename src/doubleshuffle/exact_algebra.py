@@ -7,8 +7,8 @@ map from exponent tuples to nonzero coefficients, each an ``int`` when it
 is integral and a ``Fraction`` otherwise; the zero polynomial is the empty
 map.  The kernel takes integer rows and returns the canonical rational
 nullspace (``nullspace_int``: reduced echelon forms mod p, lifted by CRT
-and rational reconstruction, then certified by integer dot products) and
-the reduced echelon form read off it (``span_rref``).  Exact ranks come
+and rational reconstruction, then certified as integer columns) and the
+reduced echelon form read off them (``span_rref``).  Exact ranks come
 from fraction-free Bareiss elimination; a mod-p rank is a lower bound.
 
 Floating point is used only for the mod-p matrix products, in float64,
@@ -410,13 +410,18 @@ def _shifted(f: Poly, shifts: list[tuple[int, int, int]]) -> Poly:
 
 def _int_array(rows, ncols: int) -> np.ndarray:
     """Integer rows as one int64 array, or as an ``object`` array of Python
-    ints when an entry does not fit in int64; such an array is kept as is."""
+    ints past int64 (kept as is); a non-integral entry raises ValueError."""
     if isinstance(rows, np.ndarray) and rows.dtype in (np.int64, object):
         return rows
+    mat = np.array(rows).reshape(len(rows), ncols)
+    if mat.dtype.kind != "i" and mat.size:
+        mat = np.array(rows, dtype=object).reshape(len(rows), ncols)
+        if (mat % 1).any():
+            raise ValueError("integer rows have a non-integral entry")
     try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        return mat.astype(np.int64, copy=False)
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), ncols)
+        return mat
 
 
 def _primes():
@@ -521,53 +526,50 @@ def _reconstruct(residues: np.ndarray,
     return columns
 
 
-def _certified_basis(mat: np.ndarray, columns: list[tuple[int, list[int]]],
-                     pivots: list[int], free: list[int],
-                     amax: int) -> list[list[Coeff]] | None:
-    """The vectors that are 1 at their free column and n / d at the pivots,
-    one per column (d, n); None unless every row of ``mat`` annihilates
-    every vector exactly."""
-    # integer dot products, in int64 when no partial sum can overflow
-    vecs = np.zeros((len(free), mat.shape[1]), dtype=object)
-    vecs[:, pivots] = [nums for _, nums in columns]
-    vecs[range(len(free)), free] = [d for d, _ in columns]
+def _certified(mat: np.ndarray, pivots: list[int], free: list[int],
+               columns: list[tuple[int, list[int]]], amax: int) -> bool:
+    """Does every row of ``mat`` annihilate, for each free column f and its
+    (d, n), the vector that is d at f and n at the pivots: is mat[:, pivots]
+    @ n + mat[:, free] * d zero?  In int64 when no partial sum can overflow."""
     width = max(sum(map(abs, nums)) + d for d, nums in columns)
     exact = np.int64 if mat.dtype != object and amax * width < 2 ** 63 else object
-    if (mat.astype(exact, copy=False) @ vecs.T.astype(exact)).any():
-        return None
-    basis = []
-    for f, (d, nums) in zip(free, columns):
-        vec: list[Coeff] = [0] * mat.shape[1]
-        vec[f] = 1
-        for c, n in zip(pivots, nums):
-            vec[c] = n // d if n % d == 0 else Fraction(n, d)
-        basis.append(vec)
-    return basis
+    ds, nums = (np.array(x, dtype=exact) for x in zip(*columns))
+    mat = mat.astype(exact, copy=False)
+    return not (mat[:, pivots] @ nums.T + mat[:, free] * ds).any()
 
 
 def nullspace_int(rows: np.ndarray | Sequence[Sequence[int]],
                   ncols: int) -> list[list[Coeff]]:
-    """Exact nullspace basis of an integer row system, deterministically.
+    """Exact canonical nullspace basis of integer rows: one vector per free
+    column f of their reduced echelon form R, 1 at f, 0 at the other free
+    columns and -R[:, f] at the pivots, each entry an int when integral.
+    The one place where the kernel's integer columns become vectors."""
+    pivots, free, columns = _nullspace(rows, ncols)
+    basis = []
+    for f, (d, nums) in zip(free, columns):
+        vec: list[Coeff] = [0] * ncols
+        vec[f] = 1
+        for c, n in zip(pivots, nums):
+            vec[c] = _coeff(Fraction(n, d))
+        basis.append(vec)
+    return basis
 
-    The basis is the canonical one of the reduced row echelon form R: one
-    vector per free column f, with 1 at f, 0 at every other free column
-    and -R[:, f] at the pivots.  Each prime runs one mod-p Gauss-Jordan
-    pass over the nonzero rows, which gives R mod p.  A full mod-p rank
-    proves the nullspace zero.  Otherwise the primes
-    with the best key (highest rank, then lexicographically first pivot
-    columns) are combined by CRT and rational reconstruction, and the
-    vectors are returned once every row times every vector is exactly 0.
-    That check is the certificate: the k vectors that pass are independent
-    null vectors, each zero after its own free column, and k = ncols - rank
-    mod p is at least the nullity over Q, so the mod-p free columns are the
-    free columns over Q and the vectors are exactly the canonical basis.
-    Each entry is an int when integral.
+
+def _nullspace(rows, ncols: int) -> tuple[list[int], list[int],
+                                         list[tuple[int, list[int]]]]:
+    """The pivot and free columns of the reduced row echelon form R of
+    integer rows, ascending, and per free column f one integer column
+    (d, n), d > 0 and n over the pivots, with n / d = -R[:, f].
+
+    Each prime runs one mod-p Gauss-Jordan pass over the nonzero rows,
+    which gives R mod p; a full mod-p rank proves the nullspace zero.
+    Otherwise the primes with the best key (highest rank, then the
+    lexicographically first pivots) are combined by CRT and rational
+    reconstruction until ``_certified`` holds: the k null vectors that
+    pass are independent, each zero after its own free column, and k =
+    ncols - rank mod p is at least the nullity over Q, so R has the pivots
+    mod p and the columns are exact.
     """
-    return _nullspace(rows, ncols)[1]
-
-
-def _nullspace(rows, ncols: int) -> tuple[list[int], list[list[Coeff]]]:
-    """``nullspace_int``'s free columns, ascending, and its basis."""
     mat = _int_array(rows, ncols)
     nonzero = mat.any(axis=1)
     if not nonzero.all():
@@ -581,7 +583,7 @@ def _nullspace(rows, ncols: int) -> tuple[list[int], list[list[Coeff]]]:
     for p in _primes():
         cols, red = _modp_rref(mat, ncols, p)
         if len(cols) == ncols:
-            return [], []
+            return cols, [], []
         key = (-len(cols), cols)
         if best is None or key < best:
             best, residues, m = key, 0, 1
@@ -591,10 +593,9 @@ def _nullspace(rows, ncols: int) -> tuple[list[int], list[list[Coeff]]]:
             residues = residues + m * ((res - residues) * pow(m, -1, p) % p)
             m *= p
             columns = _reconstruct(residues, m)
-            if columns is not None:
-                basis = _certified_basis(mat, columns, cols, free, amax)
-                if basis is not None:
-                    return free, basis
+            if columns is not None and _certified(mat, cols, free, columns,
+                                                  amax):
+                return cols, free, columns
         tried *= p
         if tried ** 2 > 4 * h2 ** 3:
             raise AssertionError(f"nullspace not certified by the primes down to {p}")
@@ -604,32 +605,31 @@ def span_rref(vectors: Iterable[Sequence], ncols: int) -> list[list[Coeff]]:
     """Reduced row echelon form of the span of rational vectors: one row per
     pivot column, in ascending order (deterministic).
 
-    The rows are read off the canonical nullspace basis of the vectors,
-    one per free column f: row p has 1 at p, 0 at the other pivots and
-    -basis_f[p] at each free column f.
+    Row i is read off the nullspace columns of the vectors: 1 at pivot i,
+    0 at the other pivots and -n_i / d at the free column of each (d, n).
     """
     rows = []
     for vec in vectors:
         denom = lcm(*(x.denominator for x in vec))
         rows.append([int(x * denom) for x in vec])
-    free, basis = _nullspace(rows, ncols)
+    pivots, free, columns = _nullspace(rows, ncols)
     out = []
-    for p in sorted(set(range(ncols)).difference(free)):
+    for i, p in enumerate(pivots):
         row: list[Coeff] = [0] * ncols
         row[p] = 1
-        for f, vec in zip(free, basis):
-            row[f] = -vec[p]
+        for f, (d, nums) in zip(free, columns):
+            row[f] = _coeff(Fraction(-nums[i], d))
         out.append(row)
     return out
 
 
 def rank_bareiss(rows: np.ndarray | Sequence[Sequence[int]]) -> int:
     """Exact rank by fraction-free Bareiss elimination, in Python ints."""
-    mat = [list(map(int, row)) for row in rows if any(row)]
+    ncols = len(rows[0]) if len(rows) else 0
+    mat = [row for row in _int_array(rows, ncols).tolist() if any(row)]
     if not mat:
         return 0
     nrows = len(mat)
-    ncols = len(mat[0])
     prev = 1
     r = 0
     for c in range(ncols):

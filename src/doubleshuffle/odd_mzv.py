@@ -6,7 +6,7 @@ x_1^{2 n_1}..x_r^{2 n_r} in the result is an integer built from binomial
 coefficients.  Collecting all pairs of compositions of N into r parts gives
 a square matrix whose exact rank counts the independent totally odd
 depth-graded elements at weight 2N + r.  Entries come from an integer
-recursion, without expanding the action; ranks from `nullspace_int`.
+recursion, without expanding the action; ranks are certified pivot counts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 # rank_bareiss is unused here but perfbench/spans.py wraps this name
-from .exact_algebra import nullspace_int, rank_bareiss  # noqa: F401
+from .exact_algebra import _nullspace, rank_bareiss  # noqa: F401
 from .ihara import DepthPoly, depth1_action, depth1_generator
 from .series import DimTable, bk_series
 from .words import compositions  # the fixed matrix indexing (lex order)
@@ -93,9 +93,9 @@ def odd_matrix(N: int, r: int) -> OddMatrix:
 
 
 def odd_rank(N: int, r: int) -> int:
-    """Exact rank of the composition matrix: size minus certified nullity."""
+    """Exact rank of the composition matrix: the certified pivot count."""
     mat = odd_matrix(N, r)
-    return mat.size - len(nullspace_int(mat.entries, mat.size))
+    return len(_nullspace(mat.entries, mat.size)[0])
 
 
 def odd_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:

@@ -45,6 +45,8 @@ class BiSeries:
 
     @staticmethod
     def term(max_s: int, max_t: int, s: int, t: int, value: int = 1) -> BiSeries:
+        if s < 0 or t < 0:
+            raise IndexError("negative power")
         out = BiSeries(max_s, max_t)
         if s <= max_s and t <= max_t:
             out.coeffs[s][t] = value
@@ -59,12 +61,9 @@ class BiSeries:
         return out
 
     def coefficient(self, s: int, t: int) -> int:
-        if s > self.max_s or t > self.max_t:
-            raise IndexError("coefficient beyond truncation")
+        if not (0 <= s <= self.max_s and 0 <= t <= self.max_t):
+            raise IndexError("coefficient outside the truncation")
         return self.coeffs[s][t]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.coeffs for v in row)
 
     def _check(self, other: BiSeries) -> None:
         if self.max_s != other.max_s or self.max_t != other.max_t:
@@ -110,18 +109,19 @@ class BiSeries:
         return out
 
     def inverse(self) -> BiSeries:
-        """Multiplicative inverse; the constant term must be 1."""
+        """Multiplicative inverse; the constant term must be 1.  One
+        triangular pass: c_(s,t) = -sum a_(i,j) c_(s-i,t-j), (i,j) != (0,0)."""
         if self.coeffs[0][0] != 1:
             raise ValueError("inverse needs constant term 1")
-        u = BiSeries.one(self.max_s, self.max_t) - self
-        acc = BiSeries.one(self.max_s, self.max_t)
-        term = BiSeries.one(self.max_s, self.max_t)
-        for _ in range(self.max_s + self.max_t + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
+        terms = [(i, j, a) for i, row in enumerate(self.coeffs)
+                 for j, a in enumerate(row) if a and (i or j)]
+        out = BiSeries.one(self.max_s, self.max_t)
+        c = out.coeffs
+        for s, row in enumerate(c):
+            for t in range(self.max_t + 1):
+                row[t] -= sum(a * c[s - i][t - j] for i, j, a in terms
+                              if i <= s and j <= t)
+        return out
 
     def t_at_one(self) -> list[int]:
         """Collapse t to 1: valid only when the truncation in t captures

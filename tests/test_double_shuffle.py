@@ -21,7 +21,7 @@ from doubleshuffle.ihara import (DepthPoly, bracket, depth1_generator,
                                  in_dihedral_space, poly_compose)
 from doubleshuffle.period_poly import cusp_dimension
 from doubleshuffle.series import free_lie_dims
-from doubleshuffle.words import translation_lift
+from doubleshuffle.words import compositions, translation_lift
 from poly_helpers import (EXCEPTIONAL_WEIGHTS, exceptional_body, is_settled,
                           polys, psum_by_substitution)
 
@@ -467,6 +467,41 @@ def test_depth2_spans_fill_whole_space():
 def test_span_inside_solution_space():
     for b in iterated_bracket_span(11, 3).basis:
         assert membership_test(b)
+
+
+def rref_by_fractions(vectors):
+    """Reduced row echelon form by Gauss-Jordan elimination over
+    ``Fraction``, one vector at a time, rows in pivot order."""
+    reduced = []
+    for vec in vectors:
+        vec = [Fraction(x) for x in vec]
+        for p, row in reduced:
+            c = vec[p]
+            vec = [a - c * b for a, b in zip(vec, row)]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is not None:
+            vec = [x / vec[lead] for x in vec]
+            reduced = [(p, [a - row[lead] * b for a, b in zip(row, vec)])
+                       for p, row in reduced] + [(lead, vec)]
+    return [row for _, row in sorted(reduced)]
+
+
+def test_wide_low_rank_span():
+    # 15 brackets on 3060 monomials span 3 dimensions: the rows come from
+    # 3 pivots and 3057 free columns of the kernel's integer form
+    N, r = 19, 5
+    monos = monomial_basis(N, r)
+    vectors = []
+    for comp in compositions((N - r) // 2, r):
+        acc = depth1_generator(2 * comp[-1] + 1)
+        for a in reversed(comp[:-1]):
+            acc = bracket(depth1_generator(2 * a + 1), acc)
+        vectors.append([acc.body.coefficient(m) for m in monos])
+    span = iterated_bracket_span(N, r)
+    assert span.dimension == 3
+    assert ([[b.body.coefficient(m) for m in monos] for b in span.basis]
+            == rref_by_fractions(vectors))
+    assert all(membership_test(b) for b in span.basis)
 
 
 # -- word-level oracle ------------------------------------------------------------

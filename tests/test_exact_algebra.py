@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from doubleshuffle import exact_algebra
 from doubleshuffle.exact_algebra import (_PRIME, Poly, divexact,
-                                         format_rational, grlex_key,
+                                         format_rational,
+                                         full_rank_certificate, grlex_key,
                                          nullspace_int, parse_rational,
                                          rank_bareiss, rank_modular, span_rref)
 from doubleshuffle.double_shuffle import partial_sum_transform
@@ -593,6 +594,45 @@ def test_nullspace_takes_integer_arrays_as_they_are(monkeypatch):
     assert nullspace_int(array, 3) == [[1, 1, 0], [0, 0, 1]]
     assert seen[-1].tolist() == [[1, -1, 0]]
     assert array.tolist() == [[0, 0, 0], [1, -1, 0], [0, 0, 0]]
+
+
+def test_non_integral_rows_raise():
+    # int() would truncate 1/2 to 0 and answer [[1, 0]] for the first rows
+    for rows in ([[Fraction(1, 2), 1]], [[0.5, 1]], np.array([[0.5, 1]])):
+        for call, args in ((nullspace_int, (rows, 2)),
+                           (rank_modular, (rows, 2)),
+                           (full_rank_certificate, (rows, 2)),
+                           (rank_bareiss, (rows,))):
+            with pytest.raises(ValueError):
+                call(*args)
+    # integral entries of any type read as their ints
+    for rows in ([[Fraction(4, 2), 1.0]], np.array([[2.0, 1.0]]),
+                 np.array([[2, 1]], dtype=np.int32)):
+        assert nullspace_int(rows, 2) == [[Fraction(-1, 2), 1]]
+        assert rank_modular(rows, 2) == rank_bareiss(rows) == 1
+        assert not full_rank_certificate(rows, 2)
+
+
+def test_certificate_in_int64_and_in_python_ints():
+    # mat[:, pivots] @ n + mat[:, free] * d == 0, in int64 while
+    # amax * (|n|_1 + d) < 2**63, else in Python ints
+    def certified(rows, pivots, free, columns):
+        mat = np.array(rows, dtype=np.int64)
+        return exact_algebra._certified(mat, pivots, free, columns,
+                                        int(abs(mat).max()))
+
+    # int64: the kernel of [[1, 0, -2, 1], [0, 1, 3, 0]], each column scaled
+    rows = [[1, 0, -2, 1], [0, 1, 3, 0]]
+    assert certified(rows, [0, 1], [2, 3], [(1, [2, -3]), (2, [-2, 0])])
+    assert not certified(rows, [0, 1], [2, 3], [(1, [2, 3]), (1, [-1, 0])])
+    assert not certified(rows, [0, 1], [2, 3], [(1, [2, -3]), (1, [0, 0])])
+    # past the bound: this wrong column leaves 2**64, which int64 wraps to 0
+    rows, wrong = [[2 ** 32, 2 ** 32]], [(1, [2 ** 32 - 1])]
+    assert 2 ** 32 * (2 ** 32 - 1 + 1) >= 2 ** 63
+    assert not certified(rows, [0], [1], wrong)
+    assert certified(rows, [0], [1], [(1, [-1])])
+    assert certified([[2 ** 62, -(2 ** 62)]], [0], [1], [(3, [3])])
+    assert nullspace_int(rows, 2) == [[-1, 1]]
 
 
 def test_nullspace_and_span_of_no_rows():

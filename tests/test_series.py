@@ -36,6 +36,22 @@ def test_inverse_geometric():
     for k in range(4):
         assert inv.coefficient(2 * k, k) == 1
     assert (inv * (one - u)) == one
+    # a dense denominator: the inverse is the one series whose product is 1
+    E, O, S = eos(30, 6)
+    one = BiSeries.one(30, 6)
+    denom = one + E - O.times_t(1) + S.times_t(2) - S.times_t(4)
+    assert denom.inverse() * denom == one
+
+
+def test_negative_indices_raise():
+    # a negative index would wrap around to the far end of the truncation
+    series = BiSeries.term(4, 2, 3, 1, 7)
+    for s, t in [(-1, 0), (0, -1), (5, 0), (0, 3)]:
+        with pytest.raises(IndexError):
+            series.coefficient(s, t)
+    for s, t in [(-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            BiSeries.term(4, 2, s, t, 7)
 
 
 def test_bk_full_specializes_to_hoffman():
