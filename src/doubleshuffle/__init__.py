@@ -1,8 +1,7 @@
 """Depth-graded double shuffle Lie algebra toolkit (exact rational arithmetic)."""
 
-from .exact_algebra import (Poly, divexact, full_rank_certificate,
-                            nullspace_int, rank_bareiss, rank_modular,
-                            span_rref)
+from .exact_algebra import (Poly, full_rank_certificate, nullspace_int,
+                            rank_bareiss, rank_modular, span_rref)
 from .ihara import (DepthPoly, UNIT, bracket, bracket_lifted, compose_lifted,
                     depth1_action, depth1_generator, dihedral,
                     dihedral_average_bracket, in_dihedral_space, poly_compose)

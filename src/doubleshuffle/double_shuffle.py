@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from operator import itemgetter
 
 import numpy as np
@@ -157,23 +156,21 @@ def _space(N: int, r: int, monomials: list[tuple[int, ...]],
 
 
 def solve(N: int, r: int) -> SolutionSpace:
-    """Deterministic reduced-echelon basis of the solution space: one vector
-    per free monomial, 1 there, 0 at the others, and 0 after it."""
+    """Deterministic reduced-echelon basis of the solution space, read from
+    the last monomial: one vector per lead monomial, 1 there, 0 at the other
+    leads, and 0 after it."""
     rows, (at, col, coeff), monomials = _lie_system(N, r)
     pivots, free, columns = _nullspace(rows, rows.shape[1])
-    # f = B a, a = d at free column c and n at the pivots, ends at c's Lyndon
-    # word, with value d: one unit-triangular pass clears these from later f's
+    # f = B a, a = d at free column c and n at the pivots
     vectors = np.zeros((len(free), len(monomials)), dtype=object)
-    for j, (f, c, (d, nums)) in enumerate(zip(vectors, free, columns)):
+    for f, c, (d, nums) in zip(vectors, free, columns):
         a = np.zeros(rows.shape[1], dtype=object)
         a[pivots], a[c] = nums, d
         np.add.at(f, at, a[col] * coeff)
-        for g in vectors[:j]:
-            e = np.flatnonzero(g)[-1]
-            f[:] = f * g[e] - f[e] * g
-        f //= gcd(*f)
-    return _space(N, r, monomials, [f / Fraction(f[np.flatnonzero(f)[-1]])
-                                    for f in vectors])
+    # the echelon form of the reversed vectors, reversed back: its leads,
+    # read from the last monomial, come largest first
+    return _space(N, r, monomials, [row[::-1] for row in reversed(
+        span_rref(vectors[:, ::-1], len(monomials)))])
 
 
 def dimension(N: int, r: int) -> int:

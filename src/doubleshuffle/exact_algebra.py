@@ -307,31 +307,6 @@ def _cached_pow(cache: dict[int, Poly], e: int) -> Poly:
     return p
 
 
-def divexact(p: Poly, q: Poly) -> Poly:
-    """Exact division p / q; raises ValueError when q does not divide p.
-
-    Plain long division against the graded-lex leading term of q.  Only the
-    specific divisions needed by period polynomials use this (divisor a
-    product of linear forms), so no fancy strategy is required.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    p._check_arity(q)
-    lead_exp, lead_coeff = max(q.terms.items(), key=lambda item: grlex_key(item[0]))
-    remainder = p
-    quotient: dict[Exponent, Coeff] = {}
-    while not remainder.is_zero():
-        rexp, rcoeff = max(remainder.terms.items(),
-                           key=lambda item: grlex_key(item[0]))
-        diff = tuple(a - b for a, b in zip(rexp, lead_exp))
-        if any(d < 0 for d in diff):
-            raise ValueError("not divisible")
-        factor = Fraction(rcoeff, lead_coeff)
-        quotient[diff] = quotient.get(diff, 0) + factor
-        remainder = remainder - q * Poly.monomial(diff, factor)
-    return Poly(p.arity, quotient)
-
-
 # ---------------------------------------------------------------------
 # Packed exponent codes: exponent k of a code is code // steps[k] % b
 # ---------------------------------------------------------------------
@@ -409,17 +384,17 @@ def _shifted(f: Poly, shifts: list[tuple[int, int, int]]) -> Poly:
 # ---------------------------------------------------------------------
 
 def _int_array(rows, ncols: int) -> np.ndarray:
-    """Integer rows as one int64 array, or as an ``object`` array of Python
-    ints past int64 (kept as is); a non-integral entry raises ValueError."""
-    if isinstance(rows, np.ndarray) and rows.dtype in (np.int64, object):
-        return rows
-    mat = np.array(rows).reshape(len(rows), ncols)
-    if mat.dtype.kind != "i" and mat.size:
+    """Integer rows as one int64 array (an int64 or ``object`` array is kept
+    as is), or as an ``object`` array of Python ints past int64; a
+    non-integral entry raises ValueError."""
+    kept = isinstance(rows, np.ndarray) and rows.dtype in (np.int64, object)
+    mat = rows if kept else np.array(rows).reshape(len(rows), ncols)
+    if mat.dtype.kind not in "iO" and mat.size:
         mat = np.array(rows, dtype=object).reshape(len(rows), ncols)
-        if (mat % 1).any():
-            raise ValueError("integer rows have a non-integral entry")
+    if mat.dtype == object and (mat % 1).any():
+        raise ValueError("integer rows have a non-integral entry")
     try:
-        return mat.astype(np.int64, copy=False)
+        return mat if kept else mat.astype(np.int64, copy=False)
     except OverflowError:
         return mat
 

@@ -78,10 +78,9 @@ def project(p: Poly, var: int, mode: str, k: int | None = None) -> Poly:
     """Projections used to dissect the exceptional elements.
 
     mode 'coeff': the coefficient of x_var^k (exponent zeroed, arity kept);
-    mode 'even': the part with even exponent in x_var (kept intact);
-    mode 'interior': monomials with every exponent >= 2 (var is ignored).
+    mode 'even': the part with even exponent in x_var (kept intact).
     """
-    if mode != "interior" and not 0 <= var < p.arity:
+    if not 0 <= var < p.arity:
         raise ValueError(f"variable index {var} out of range")
     if mode == "coeff":
         if k is None:
@@ -93,8 +92,6 @@ def project(p: Poly, var: int, mode: str, k: int | None = None) -> Poly:
     if mode == "even":
         return Poly(p.arity, {e: c for e, c in p.terms.items()
                               if e[var] % 2 == 0}, _clean=True)
-    if mode == "interior":
-        return interior(p)
     raise ValueError(f"unknown projection mode {mode!r}")
 
 

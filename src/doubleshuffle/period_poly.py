@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .exact_algebra import Poly, divexact, grlex_key, nullspace_int
+from .exact_algebra import Poly, grlex_key, nullspace_int
 from .words import compositions
 
 
@@ -113,12 +114,21 @@ def basis_S(twoN: int) -> list[PeriodPolynomial]:
 
 
 def from_polynomial(twoN: int, P: Poly) -> PeriodPolynomial:
-    """Package a period polynomial with its exact factorization; asserts
-    every structural invariant on construction."""
-    X = Poly.variable(2, 0)
-    Y = Poly.variable(2, 1)
-    f0 = divexact(P, X * Y * (X - Y))
-    f1 = (X - Y) * f0
+    """Package a period polynomial with its exact factorization; raises
+    ValueError when X Y (X - Y) does not divide P, and asserts every
+    structural invariant on construction."""
+    if not all(a and b for a, b in P.terms):
+        raise ValueError("P is not divisible by X Y")
+    f1 = Poly(2, {(a - 1, b - 1): c for (a, b), c in P.terms.items()},
+              _clean=True)
+    # f1 = (X - Y) f0: f0's coefficient at X^(d-1-j) Y^j is the sum of f1's
+    # at X^(d-i) Y^i over i <= j, and the full sum is the remainder
+    d = twoN - 4
+    *sums, remainder = accumulate(f1.coefficient((d - i, i))
+                                  for i in range(d + 1))
+    if remainder:
+        raise ValueError("f1 is not divisible by X - Y")
+    f0 = Poly(2, {(d - 1 - j, j): c for j, c in enumerate(sums)})
     pp = PeriodPolynomial(twoN, P, f0, f1)
     pp.validate()
     return pp

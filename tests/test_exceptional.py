@@ -130,6 +130,9 @@ def test_projection_examples():
         project(p, 5, "even")
     with pytest.raises(ValueError):
         project(p, 0, "coeff")
+    # 'interior' is not a projection mode: interior() is the one path
+    with pytest.raises(ValueError, match="unknown projection mode"):
+        project(r, 0, "interior")
 
 
 # -- coordinates --------------------------------------------------------------------

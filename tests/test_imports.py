@@ -32,3 +32,22 @@ def test_no_unused_imports(path):
     # the allowed names must stay imported: the tracer wraps them by name
     allowed = {name for module, name in ALLOWED_UNUSED if module == path.stem}
     assert unused_imports(path) == allowed
+
+
+def test_no_dead_private_helpers():
+    # every module-level _helper is referenced somewhere in the package
+    # outside its own definition
+    helpers, referenced = set(), set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    helpers.add(own)
+            referenced.update(
+                name for node in ast.walk(stmt)
+                for name in (getattr(node, "id", None),
+                             getattr(node, "attr", None))
+                if name and name != own)
+    assert helpers <= referenced, sorted(helpers - referenced)

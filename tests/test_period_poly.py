@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from doubleshuffle.exact_algebra import Poly, divexact
+import pytest
+
+from doubleshuffle.exact_algebra import Poly
 from doubleshuffle.period_poly import (_condition_rows, _three_term, basis_S,
                                        basis_W, cusp_dimension,
                                        from_polynomial, integral_generators,
@@ -104,7 +106,17 @@ def test_division_by_linear_factors_is_exact():
     Y = Poly.variable(2, 1)
     for pp in basis_S(24):
         assert pp.P == X * Y * (X - Y) * pp.f0
-        assert divexact(pp.P, X * Y * (X - Y)) == pp.f0
+
+
+def test_from_polynomial_needs_every_linear_factor():
+    # X^10 - Y^10 of W12 has no factor X Y
+    P = Poly(2, {(10, 0): 1, (0, 10): -1})
+    assert P in basis_W(12)
+    with pytest.raises(ValueError, match="X Y"):
+        from_polynomial(12, P)
+    # X^5 Y^5 = X Y * X^4 Y^4, and X - Y does not divide X^4 Y^4
+    with pytest.raises(ValueError, match="X - Y"):
+        from_polynomial(12, Poly(2, {(5, 5): 1}))
 
 
 # -- integral generators ----------------------------------------------------------
