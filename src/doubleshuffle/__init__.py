@@ -5,9 +5,9 @@ from .exact_algebra import (Poly, full_rank_certificate, nullspace_int,
 from .ihara import (DepthPoly, UNIT, bracket, bracket_lifted, compose_lifted,
                     depth1_action, depth1_generator, dihedral,
                     dihedral_average_bracket, in_dihedral_space, poly_compose)
-from .double_shuffle import (SolutionSpace, dimension,
-                             dims_table, iterated_bracket_span, membership_test,
-                             partial_sum_transform, solve, solve_words)
+from .double_shuffle import (SolutionSpace, dimension, iterated_bracket_span,
+                             membership_test, partial_sum_transform, solve,
+                             solve_words)
 from .period_poly import (PeriodPolynomial, basis_S, basis_W, cusp_dimension,
                           integral_generators)
 from .exceptional import (ExceptionalElement, build_exceptional,

@@ -201,11 +201,6 @@ def ls_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:
             for N in range(r, max_weight + 1)]
 
 
-def dims_table(max_weight: int, max_depth: int) -> dict[tuple[int, int], int]:
-    """dim of every cell of ls_cells(max_weight, max_depth)."""
-    return {cell: dimension(*cell) for cell in ls_cells(max_weight, max_depth)}
-
-
 # ---------------------------------------------------------------------
 # Span of iterated brackets of depth-1 generators
 # ---------------------------------------------------------------------

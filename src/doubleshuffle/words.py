@@ -6,9 +6,8 @@ the graded alphabet {y_1, y_2, ...}, encoded as tuples of integers >= 1;
 their weight is the sum of indices and their depth the length.
 
 The module provides the shuffle product (both alphabets), the stuffle
-product (index words), the polynomial encodings of binary words, the
-index-word projection, the depth-graded composition of words, and the
-combinatorial component of the infinitesimal coaction.
+product (index words), the polynomial encodings of binary words and the
+depth-graded composition of words.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ Word = tuple[int, ...]
 CACHE_SIZE = 1 << 14  # bound of the lru_caches; no workload comes near it
 
 
-def weight(word: Word, alphabet: str = BINARY) -> int:
-    return len(word) if alphabet == BINARY else sum(word)
-
-
 def depth(word: Word, alphabet: str = BINARY) -> int:
     return sum(word) if alphabet == BINARY else len(word)
 
@@ -45,21 +40,6 @@ def compositions(total: int, parts: int) -> list[Word]:
         return [()] if parts == total == 0 else []
     return [tuple(map(sub, cuts + (total,), (0,) + cuts))
             for cuts in combinations(range(1, total), parts - 1)]
-
-
-def word_to_str(word: Word, alphabet: str = BINARY) -> str:
-    if alphabet == BINARY:
-        return " ".join(f"e{letter}" for letter in word)
-    return ",".join(str(i) for i in word)
-
-
-def str_to_word(text: str, alphabet: str = BINARY) -> Word:
-    text = text.strip()
-    if not text:
-        return ()
-    if alphabet == BINARY:
-        return tuple(int(tok[1:]) for tok in text.split())
-    return tuple(int(tok) for tok in text.split(","))
 
 
 class WordSum:
@@ -118,8 +98,7 @@ class WordSum:
         return self.terms.get(tuple(word), 0)
 
     def __repr__(self) -> str:
-        bits = [f"{c}*[{word_to_str(w, self.alphabet)}]"
-                for w, c in sorted(self.terms.items())[:6]]
+        bits = [f"{c}*{w}" for w, c in sorted(self.terms.items())[:6]]
         suffix = ", ..." if len(self.terms) > 6 else ""
         return f"WordSum({' + '.join(bits) or '0'}{suffix})"
 
@@ -209,15 +188,6 @@ def word_exponents(word: Word) -> tuple[int, ...]:
     return tuple(runs)
 
 
-def exponents_to_word(exps: Iterable[int]) -> Word:
-    exps = tuple(exps)
-    word: list[int] = [0] * exps[0]
-    for a in exps[1:]:
-        word.append(1)
-        word.extend([0] * a)
-    return tuple(word)
-
-
 def poly_rep(w) -> Poly:
     """Encode a depth-r binary word as the monomial of its 0-run lengths
     (a polynomial in r+1 variables); extends linearly to WordSums of pure
@@ -233,19 +203,6 @@ def poly_rep(w) -> Poly:
         return Poly(depths.pop() + 1, {word_exponents(word): coeff
                                        for word, coeff in w.terms.items()})
     return Poly.monomial(word_exponents(tuple(w)))
-
-
-def poly_to_words(f: Poly) -> WordSum:
-    """Inverse of poly_rep on arity r+1 polynomials."""
-    terms = {exponents_to_word(exps): coeff for exps, coeff in f.terms.items()}
-    return WordSum(BINARY, terms)
-
-
-def reduced_rep(w) -> Poly:
-    """Reduced encoding: drop the leading 0-run (words starting with e0 are
-    killed), keeping a polynomial in r variables x_1..x_r."""
-    full = poly_rep(w)
-    return restrict_y0(full)
 
 
 def restrict_y0(f: Poly) -> Poly:
@@ -274,37 +231,12 @@ def is_translation_invariant(f: Poly) -> bool:
     return not any(total.values())
 
 
-def to_index_word(word: Word) -> Word | None:
-    """e1 e0^{a_1} ... e1 e0^{a_r} -> (a_1+1, ..., a_r+1); words starting
-    with e0 map to None (zero)."""
-    word = tuple(word)
-    if not word:
-        return ()
-    if word[0] == 0:
-        return None
-    exps = word_exponents(word)
-    return tuple(a + 1 for a in exps[1:])
-
-
 def index_word_to_binary(iword: Word) -> Word:
     out: list[int] = []
     for n in iword:
         out.append(1)
         out.extend([0] * (n - 1))
     return tuple(out)
-
-
-def to_index_sum(w: WordSum) -> WordSum:
-    """Linear extension of the index-word projection."""
-    if w.alphabet != BINARY:
-        raise ValueError("expected binary words")
-    out: dict[Word, Coeff] = {}
-    for word, coeff in w.terms.items():
-        iword = to_index_word(word)
-        if iword is None:
-            continue
-        out[iword] = out.get(iword, 0) + coeff
-    return WordSum(INDEX, out)
 
 
 # ---------------------------------------------------------------------
@@ -346,43 +278,3 @@ def _compose_words(a: Word, g: Word) -> tuple[tuple[Word, int], ...]:
 def word_compose(a, g) -> WordSum:
     """Bilinear depth-graded composition of binary words."""
     return _bilinear(_compose_words, a, g, BINARY)
-
-
-# ---------------------------------------------------------------------
-# Infinitesimal coaction component
-# ---------------------------------------------------------------------
-
-def coaction_component(r: int, a: Iterable[int]) -> dict[tuple[Word, Word], int]:
-    """Degree-r component of the infinitesimal coaction on the sequence
-    ``a`` (read between fixed endpoints 0 and 1).
-
-    Returns the aggregated map {(subsequence, quotient): coefficient} with
-    zero terms dropped.  Boundary rules: a term vanishes when the letters
-    framing the subsequence agree; when they are (1, 0) the subsequence is
-    reversed and picks up the sign (-1)^r.
-    """
-    word = tuple(a)
-    n = len(word)
-    if r < 1 or r > n:
-        return {}
-    framed = (0,) + word + (1,)
-    out: dict[tuple[Word, Word], int] = {}
-    for p in range(n - r + 1):
-        left = framed[p]
-        right = framed[p + r + 1]
-        sub = word[p:p + r]
-        if left == right:
-            continue
-        if left == 0 and right == 1:
-            sign = 1
-        else:
-            sub = sub[::-1]
-            sign = (-1) ** r
-        quotient = word[:p] + word[p + r:]
-        key = (sub, quotient)
-        new = out.get(key, 0) + sign
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out

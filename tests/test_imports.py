@@ -1,11 +1,13 @@
 """Every name imported into a module of the package is used there."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "doubleshuffle"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # bound only so that the benchmark tracer can wrap them (perfbench/spans.py)
 ALLOWED_UNUSED = {("double_shuffle", "full_rank_certificate"),
@@ -51,3 +53,19 @@ def test_no_dead_private_helpers():
                              getattr(node, "attr", None))
                 if name and name != own)
     assert helpers <= referenced, sorted(helpers - referenced)
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # the benchmark tracer (perfbench/spans.py) wraps and reads package
+    # names by string; a deleted or renamed one fails its pass, not a test
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    modules = {path.stem: importlib.import_module(f"doubleshuffle.{path.stem}")
+               for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    wrapped = {(module, attr) for module, attr, _ in spans.WRAPPED}
+    missing = {(module, attr) for module, attr in wrapped
+               if not hasattr(modules.get(module), attr)}
+    assert not missing, sorted(missing)
+    assert type(spans.cache_entries(modules)) is int
+    # the allowlist above lasts only as long as the tracer wraps the name
+    assert ALLOWED_UNUSED <= wrapped

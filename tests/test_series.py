@@ -2,7 +2,7 @@
 
 import pytest
 
-from doubleshuffle.double_shuffle import dims_table, ls_cells
+from doubleshuffle.double_shuffle import dimension, ls_cells
 from doubleshuffle.series import (BiSeries, bk_series, eos, euler_check,
                                   euler_series, free_lie_dims, hoffman_dims,
                                   pbw)
@@ -100,11 +100,12 @@ def test_ls_grid():
     assert len(ls_cells(14, 4)) == 50
     assert len(ls_cells(13, 5)) == 55
     assert ls_cells(3, 2) == [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]
-    assert list(dims_table(8, 3)) == ls_cells(8, 3)
+    assert list({c: dimension(*c) for c in ls_cells(8, 3)}) == ls_cells(8, 3)
 
 
 def test_pbw_of_computed_dims_matches_ls_series():
-    lie = {k: v for k, v in dims_table(14, 3).items() if v}
+    lie = {c: dimension(*c) for c in ls_cells(14, 3)}
+    lie = {k: v for k, v in lie.items() if v}
     computed = pbw(lie, 14, 3)
     predicted = bk_series("ls", 14, 3)
     assert computed == predicted
@@ -113,9 +114,8 @@ def test_pbw_of_computed_dims_matches_ls_series():
 def test_pbw_depth4_window():
     # exact depth-4 dimensions extend the series match beyond the
     # depth-2/3 range that is proved in the literature
-    from doubleshuffle.double_shuffle import dimension
-
-    lie = {k: v for k, v in dims_table(14, 3).items() if v}
+    lie = {c: dimension(*c) for c in ls_cells(14, 3)}
+    lie = {k: v for k, v in lie.items() if v}
     for N in range(4, 15):
         d = dimension(N, 4)
         if d:
