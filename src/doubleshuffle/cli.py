@@ -35,7 +35,7 @@ MAX_DEPTH_BOUND = 5
 MAX_SERIES_WEIGHT_BOUND = 40  # series truncation; period and exceptional weights
 MAX_BRACKET_DEPTH = 8         # a generator counts 1, an exceptional e<w> 4
 # The slowest depth-8 shape at weight 26, {3,{3,{3,{3,{3,{3,{3,5}}}}}}},
-# takes 6 s and 345 MB on one 2-vCPU core; weight 30 takes 18 s and 1.1 GB.
+# takes 5 s and 300 MB on one 2-vCPU core; weight 30 takes 20 s and 910 MB.
 MAX_BRACKET_WEIGHT = 26
 MAX_JOBS = 64                 # a pool starts all its workers at the first submit
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod
 
 from .double_shuffle import SolutionSpace
 from .exact_algebra import Poly
@@ -85,6 +87,9 @@ def project(p: Poly, var: int, mode: str, k: int | None = None) -> Poly:
     if mode == "coeff":
         if k is None:
             raise ValueError("mode 'coeff' needs k")
+        if k == 0:  # a kept key already reads 0 at var
+            return Poly(p.arity, {e: c for e, c in p.terms.items()
+                                  if e[var] == 0}, _clean=True)
         # the kept keys differ outside var, so they stay distinct
         return Poly(p.arity, {e[:var] + (0,) + e[var + 1:]: c
                               for e, c in p.terms.items() if e[var] == k},
@@ -103,13 +108,13 @@ def interior(p: Poly) -> Poly:
 
 def is_uneven(f: Poly) -> bool:
     """No totally even monomial occurs."""
-    return all(any(e % 2 for e in exps) for exps in f.terms)
+    return all(any(map(mod, exps, repeat(2))) for exps in f.terms)
 
 
 def is_sparse(f: Poly) -> bool:
     """Every monomial omits at least one variable (the full mixed partial
     annihilates f)."""
-    return all(any(e == 0 for e in exps) for exps in f.terms)
+    return all(0 in exps for exps in f.terms)
 
 
 # ---------------------------------------------------------------------

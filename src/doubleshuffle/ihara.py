@@ -85,11 +85,13 @@ def depth1_generator(weight: int) -> DepthPoly:
 _CHUNK = 1 << 18
 
 
-def compose_lifted(F: Poly, G: Poly) -> Poly:
+def compose_lifted(F: Poly, G: Poly, *, drop_y0: bool = False) -> Poly:
     """Insertion composition on lifted polynomials.
 
     F has arity r+1 (depth r), G arity s+1; the result has arity r+s+1.
     F must be homogeneous (its degree enters the sign of the reversed sum).
+    With ``drop_y0`` the result is restricted to y_0 = 0 (arity r+s): only
+    the terms free of y_0 are kept, and y_0 is dropped from their keys.
 
     The sum runs over 2s+1 placements: forward i = 0..s puts F at
     y_i..y_{i+r} and G at y_0..y_i then y_{i+r+1}..y_{r+s}; reversed
@@ -97,7 +99,10 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
     y_{i+r}..y_{r+s}.  An exponent tuple is packed into one mixed-radix
     code in radix b = max exponent of F + max exponent of G + 1, so a
     monomial product is the sum of two codes.  The products are formed
-    _CHUNK at a time, and equal codes are summed after a sort.
+    _CHUNK at a time, and equal codes are summed after a sort.  y_0 is the
+    leading digit, so the codes below b^(r+s) are the terms free of y_0;
+    with ``drop_y0``, placement 0 multiplies only F's rows free of y_0
+    (its other rows land on y_0), and the final codes are cut at b^(r+s).
     """
     r = F.arity - 1
     s = G.arity - 1
@@ -106,7 +111,7 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
     sign = -1 if (F.homogeneous_degree() + r) % 2 else 1
     n = r + s + 1
     if not F.terms or not G.terms:
-        return Poly.zero(n)
+        return Poly.zero(n - drop_y0)
     fe = _int_array(list(F.terms), r + 1)
     ge = _int_array(list(G.terms), s + 1)
     b = int(fe.max()) + int(ge.max()) + 1
@@ -117,34 +122,44 @@ def compose_lifted(F: Poly, G: Poly) -> Poly:
     fpos += [[*range(i + r, i - 1, -1)] for i in range(1, s + 1)]
     gpos = [[*range(i + 1), *range(i + r + 1, n)] for i in range(s + 1)]
     gpos += [[*range(i), *range(i + r, n)] for i in range(1, s + 1)]
-    fcodes = np.concatenate([fe @ w[p] for p in fpos])
+    # the rows of F multiplied in each placement
+    frows = [np.arange(len(fe))] * len(fpos)
+    if drop_y0:
+        frows[0] = np.flatnonzero(fe[:, 0] == 0)
+    fcodes = np.concatenate([fe[k] @ w[p] for k, p in zip(frows, fpos)])
     gcodes = np.stack([ge @ w[p] for p in gpos])
     fvals, gvals = list(F.terms.values()), list(G.terms.values())
     growth = len(gpos) * min(len(F), len(G))  # products one code can sum
     fc = _coeff_array(fvals, growth * max(map(abs, gvals)))
     gc = _coeff_array(gvals, growth * max(map(abs, fvals)))
-    fcoeffs = np.concatenate([fc] * (s + 1) + [fc * sign] * s)
-    # fcodes[k] + gcodes[k // len(F)] are the codes of row k's products
+    fcoeffs = np.concatenate([fc[frows[0]]] + [fc] * s + [fc * sign] * s)
+    # row j's products have codes fcodes[j] + gcodes[place[j]]
+    place = np.repeat(np.arange(len(fpos)), list(map(len, frows)))
     codes, coeffs = fcodes[:0], fcoeffs[:0]
     step = max(1, _CHUNK // len(gc))
     for start in range(0, len(fcodes), step):
-        rows = np.arange(start, min(start + step, len(fcodes)))
+        rows = slice(start, start + step)
         codes, coeffs = _sum_equal_codes(
             np.concatenate([codes, (fcodes[rows, None]
-                                    + gcodes[rows // len(fc)]).ravel()]),
+                                    + gcodes[place[rows]]).ravel()]),
             np.concatenate([coeffs, np.multiply.outer(fcoeffs[rows], gc).ravel()]))
+    if drop_y0:
+        free = codes < w[0]
+        return _poly_of_codes(n - 1, codes[free], coeffs[free], b)
     return _poly_of_codes(n, codes, coeffs, b)
 
 
 def poly_compose(f: DepthPoly, g: DepthPoly) -> DepthPoly:
     """Composition of reduced representatives; weight and depth add.
 
-    G's first variable always lands on y_0, so the terms of g.lift() that
-    carry y_0 vanish under restrict_y0; the rest is g.body moved up a slot.
+    G's first variable always lands on y_0, so only the terms of g.lift()
+    free of y_0 can reach the restriction: those are g.body moved up a
+    slot.  compose_lifted keeps the codes of the terms free of y_0 and
+    unpacks them in the reduced variables.
     """
-    composed = compose_lifted(f.lift(), g.body.embed(g.depth + 1, 1))
-    return DepthPoly(f.depth + g.depth, f.weight + g.weight,
-                     restrict_y0(composed))
+    composed = compose_lifted(f.lift(), g.body.embed(g.depth + 1, 1),
+                              drop_y0=True)
+    return DepthPoly(f.depth + g.depth, f.weight + g.weight, composed)
 
 
 def bracket(f: DepthPoly, g: DepthPoly) -> DepthPoly:

@@ -1,6 +1,8 @@
 """Tests for the exceptional depth-4 elements and their projections."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleshuffle import period_poly
 from doubleshuffle.double_shuffle import membership_test, solve
@@ -11,6 +13,7 @@ from doubleshuffle.exceptional import (build_exceptional, exceptional_elements,
 from doubleshuffle.ihara import bracket_lifted, depth1_generator, in_dihedral_space
 from doubleshuffle.period_poly import PeriodPolynomial, integral_generators
 from doubleshuffle.words import is_translation_invariant, restrict_y0, translation_lift
+from poly_helpers import is_settled, polys
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,14 @@ def test_uneven_and_sparse(e12):
     assert is_sparse(e12.full)
 
 
+def test_uneven_and_sparse_counterexamples():
+    # a totally even monomial, then a monomial with every variable present
+    assert not is_uneven(Poly(3, {(1, 0, 0): 1, (2, 0, 4): 1}))
+    assert is_sparse(Poly(3, {(2, 0, 4): 1}))
+    assert not is_sparse(Poly(3, {(1, 0, 0): 1, (1, 2, 1): 1}))
+    assert is_uneven(Poly(3, {(1, 2, 1): 1}))
+
+
 def test_membership_and_dihedral_conditions(e12):
     assert membership_test(e12.reduced)
     assert in_dihedral_space(e12.reduced)
@@ -133,6 +144,20 @@ def test_projection_examples():
     # 'interior' is not a projection mode: interior() is the one path
     with pytest.raises(ValueError, match="unknown projection mode"):
         project(r, 0, "interior")
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=polys(max_deg=3))
+def test_project_coeff_matches_rebuild(k, data, p):
+    # k = 0 keeps each key as it is; the rebuild sets x_var's exponent to 0
+    var = data.draw(st.integers(0, p.arity - 1))
+    p = p + Poly.monomial([k if i == var else 1 for i in range(p.arity)])
+    rebuilt = Poly(p.arity, {e[:var] + (0,) + e[var + 1:]: c
+                             for e, c in p.terms.items() if e[var] == k})
+    projected = project(p, var, "coeff", k)
+    assert projected == rebuilt
+    assert is_settled(projected)
 
 
 # -- coordinates --------------------------------------------------------------------

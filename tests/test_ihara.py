@@ -118,6 +118,13 @@ def assert_composes_like_dict(F, G):
     assert all(type(e) is int for exps in composed.terms for e in exps)
 
 
+def assert_drops_y0_like_restriction(F, G):
+    reduced = compose_lifted(F, G, drop_y0=True)
+    assert reduced == restrict_y0(compose_lifted(F, G))
+    assert reduced.arity == F.arity + G.arity - 2
+    assert is_settled(reduced)
+
+
 def test_compose_lifted_matches_dict_oracle(compose_pool):
     # on the operands poly_compose passes
     for f in compose_pool:
@@ -149,6 +156,23 @@ def test_compose_lifted_property(data, arity_f, arity_g):
     exps = st.tuples(*[st.integers(0, 3)] * arity_g)
     G = Poly(arity_g, data.draw(st.dictionaries(exps, KERNEL_COEFFS, max_size=6)))
     assert_composes_like_dict(F, G)
+    # G may carry y_0, which every placement puts on y_0 of the result
+    assert_drops_y0_like_restriction(F, G)
+
+
+def test_compose_lifted_drop_y0_edge_cases():
+    F = Poly(3, {(2, 1, 0): 1, (0, 1, 2): -2})
+    G = Poly(2, {(1, 0): 2, (0, 1): -1, (2, 2): 1})
+    for zero_f, zero_g in [(Poly.zero(3), G), (F, Poly.zero(2)),
+                           (Poly.zero(1), Poly.zero(1))]:
+        assert_drops_y0_like_restriction(zero_f, zero_g)
+    unit = UNIT.lift()
+    assert unit.arity == 1
+    for g in (G, Poly(1, {(3,): 5}), Poly(1, {(0,): 4}), Poly(3, {(0, 1, 1): 1})):
+        assert_drops_y0_like_restriction(unit, g)
+    assert compose_lifted(unit, Poly(1, {(0,): 4}), drop_y0=True) == Poly(0, {(): 4})
+    # only G's y_0 terms: every product lands on y_0
+    assert compose_lifted(F, Poly(2, {(1, 0): 3}), drop_y0=True) == Poly.zero(3)
 
 
 @pytest.fixture
@@ -182,6 +206,10 @@ def kernel_dtypes(monkeypatch):
 def test_compose_lifted_dtype_paths(kernel_dtypes, F, G, dtypes):
     assert_composes_like_dict(F, G)
     assert kernel_dtypes == [tuple(map(np.dtype, dtypes))]
+    # drop_y0 reduces in the same dtypes; the last F lies on y_0 alone, so
+    # its restriction reduces nothing
+    assert_drops_y0_like_restriction(F, G)
+    assert set(kernel_dtypes) == {tuple(map(np.dtype, dtypes))}
 
 
 def test_compose_lifted_in_chunks(kernel_dtypes, monkeypatch):
@@ -193,6 +221,12 @@ def test_compose_lifted_in_chunks(kernel_dtypes, monkeypatch):
     assert_composes_like_dict(F, G.scale(Fraction(2, 3)))
     assert_composes_like_dict(F.scale(2), G)
     assert len(kernel_dtypes) == 3 * 3 * len(F)
+    # with drop_y0, placement 0 skips the two rows of F that carry y_0:
+    # 3 * 3 - 2 chunks after the full composition's 3 * 3
+    kernel_dtypes.clear()
+    assert_drops_y0_like_restriction(F, G)
+    assert len(kernel_dtypes) == 3 * 3 + 3 * 3 - 2
+    assert_drops_y0_like_restriction(F.scale(2), G.scale(Fraction(2, 3)))
 
 
 def test_compose_lifted_needs_homogeneous_f():
@@ -226,6 +260,21 @@ def test_weight_depth_additivity():
 
 
 # -- bracket -------------------------------------------------------------
+
+def test_bracket_composes_through_compose_lifted(monkeypatch):
+    # the benchmark tracer (perfbench/spans.py) times and counts every
+    # composition at the module attribute ihara.compose_lifted
+    calls = []
+    compose = ihara.compose_lifted
+
+    def counted(F, G, **kwargs):
+        calls.append(kwargs)
+        return compose(F, G, **kwargs)
+
+    monkeypatch.setattr(ihara, "compose_lifted", counted)
+    assert bracket(x_power(1), x_power(2)).body == depth2_closed_form(1, 2)
+    assert calls == [{"drop_y0": True}] * 2
+
 
 def test_bracket_self_vanishes():
     f = x_power(3)
