@@ -13,8 +13,8 @@ from .period_poly import (PeriodPolynomial, basis_S, basis_W, cusp_dimension,
 from .exceptional import (ExceptionalElement, build_exceptional,
                           exceptional_elements, express_in_basis, interior,
                           is_sparse, is_uneven, project)
-from .series import BiSeries, bk_series, eos, euler_check, euler_series, free_lie_dims, pbw
-from .odd_mzv import (OddMatrix, c_coefficient, compositions, odd_matrix,
-                      odd_rank, odd_rank_table, predicted_odd_table)
+from .series import BiSeries, bk_series, eos, free_lie_dims, pbw
+from .odd_mzv import (c_coefficient, compositions, odd_matrix, odd_rank,
+                      odd_rank_table, predicted_odd_table)
 
 __version__ = "0.1.0"

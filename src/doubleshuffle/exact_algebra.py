@@ -41,10 +41,6 @@ def format_rational(q: Coeff) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _coeff(value) -> Coeff:
     """A rational as an int when integral, else a Fraction."""
     if type(value) is int:
@@ -271,19 +267,6 @@ class Poly:
         for exps, coeff in self.sorted_terms():
             lines.append(f"{','.join(map(str, exps))} : {format_rational(coeff)}")
         return "\n".join(lines)
-
-    @staticmethod
-    def parse(text: str, arity: int) -> Poly:
-        terms: dict[Exponent, Coeff] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            exp_part, _, coeff_part = line.partition(":")
-            exp_part = exp_part.strip()
-            exps = tuple(int(x) for x in exp_part.split(",")) if exp_part else ()
-            terms[exps] = parse_rational(coeff_part)
-        return Poly(arity, terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -21,7 +21,7 @@ from operator import mod
 
 from .double_shuffle import SolutionSpace
 from .exact_algebra import Poly
-from .ihara import DepthPoly
+from .ihara import DepthPoly, dihedral
 from .period_poly import (PeriodPolynomial, basis_S, from_polynomial,
                           integral_generators, primitive_integral)
 from .words import restrict_y0
@@ -42,9 +42,11 @@ def build_exceptional(f: PeriodPolynomial, name: str = "") -> ExceptionalElement
     y = [Poly.variable(5, i) for i in range(5)]
     seed = (f.f1.substitute([y[4] - y[3], y[2] - y[1]])
             + (y[0] - y[1]) * f.f0.substitute([y[2] - y[3], y[4] - y[3]]))
-    full = Poly.zero(5)
-    for k in range(5):
-        full = full + seed.permute_variables([(i + k) % 5 for i in range(5)])
+    # seed has even degree twoN - 4, so cycle is the plain rotation
+    full = rotated = seed
+    for _ in range(4):
+        rotated = dihedral("cycle", rotated)
+        full = full + rotated
     reduced = DepthPoly(4, f.twoN, restrict_y0(full))
     return ExceptionalElement(f, name or f"e{f.twoN}", full, reduced)
 

@@ -4,8 +4,9 @@ A depth-r element is stored through its reduced polynomial in x_1..x_r.
 Compositions are computed on the translation-invariant lift in y_0..y_r
 (the two-sum insertion formula, read off from the word-level composition)
 and reduced back; the bracket is the antisymmetrization.  The dihedral
-reflections, the signed-average form of the bracket, the membership test
-for the dihedral space, and the closed-form action of depth-1 generators
+operators on the lift, the signed-average form of the bracket, the
+dihedral-space membership test (a lift of even degree, anti-invariant
+under both reflections), and the closed-form action of depth-1 generators
 also live here.
 """
 
@@ -39,12 +40,6 @@ class DepthPoly:
         degree = self.body.homogeneous_degree()  # raises if not homogeneous
         if self.body and degree != self.weight - self.depth:
             raise ValueError("degree != weight - depth")
-
-    @staticmethod
-    def from_body(depth: int, body: Poly) -> DepthPoly:
-        if body.is_zero():
-            return DepthPoly(depth, depth, body)
-        return DepthPoly(depth, depth + body.homogeneous_degree(), body)
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -228,25 +223,14 @@ def dihedral_average_bracket(f: DepthPoly, g: DepthPoly) -> DepthPoly:
 
 
 def in_dihedral_space(f: DepthPoly) -> bool:
-    """Test the three reduced conditions cutting out the dihedral space:
-    evenness under a global sign flip, reversal antisymmetry, and the
-    antisymmetry under the final affine reflection."""
-    body = f.body
-    r = f.depth
-    if r == 0:
-        return body.is_zero()
-    neg = [Poly.variable(r, i).scale(-1) for i in range(r)]
-    if body.substitute(neg) != body:
-        return False
-    sign = -1 if r % 2 else 1
-    reversed_body = body.permute_variables(list(range(r - 1, -1, -1)))
-    if body + reversed_body.scale(sign) != Poly.zero(r):
-        return False
-    xr = Poly.variable(r, r - 1)
-    images = [Poly.variable(r, r - 1 - i) - xr for i in range(1, r)] + [xr.scale(-1)]
-    if body + body.substitute(images).scale(sign) != Poly.zero(r):
-        return False
-    return True
+    """Membership in the dihedral space: the lift has even degree and is
+    anti-invariant under the two reflections sigma and tau, which generate
+    the dihedral group."""
+    if f.depth == 0:
+        return f.body.is_zero()
+    F = f.lift()
+    return (F.homogeneous_degree() % 2 == 0 and dihedral("sigma", F) == -F
+            and dihedral("tau", F) == -F)
 
 
 # ---------------------------------------------------------------------

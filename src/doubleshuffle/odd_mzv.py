@@ -11,7 +11,6 @@ recursion, without expanding the action; ranks are certified pivot counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 # rank_bareiss is unused here but perfbench/spans.py wraps this name
@@ -67,35 +66,20 @@ def c_coefficient(m: tuple[int, ...], n: tuple[int, ...]) -> int:
     return _coefficient(tuple(m), tuple(n), {})
 
 
-@dataclass
-class OddMatrix:
-    N: int
-    r: int
-    entries: list[list[int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def mzv_weight(self) -> int:
-        return 2 * self.N + self.r
-
-
-def odd_matrix(N: int, r: int) -> OddMatrix:
+def odd_matrix(N: int, r: int) -> list[list[int]]:
     """Square matrix of action coefficients over compositions of N into r
-    parts; entry (i, j) pairs operator composition i with monomial j."""
+    parts, as integer rows; entry (i, j) pairs operator composition i with
+    monomial j."""
     if r < 1 or N < r:
         raise ValueError(f"invalid (N, r) = ({N}, {r})")
     comps, memo = compositions(N, r), {}  # one memo per matrix, freed with it
-    return OddMatrix(N, r, [[_coefficient(m, n, memo) for n in comps]
-                            for m in comps])
+    return [[_coefficient(m, n, memo) for n in comps] for m in comps]
 
 
 def odd_rank(N: int, r: int) -> int:
     """Exact rank of the composition matrix: the certified pivot count."""
-    mat = odd_matrix(N, r)
-    return len(_nullspace(mat.entries, mat.size)[0])
+    rows = odd_matrix(N, r)
+    return len(_nullspace(rows, len(rows))[0])
 
 
 def odd_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:

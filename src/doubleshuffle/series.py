@@ -5,9 +5,8 @@ exact integer arithmetic under a fixed truncation; no coefficient beyond
 the truncation is ever read.  On top of the raw arithmetic this module
 builds the even/odd/cusp series, the Broadhurst-Kreimer style rational
 functions, the Poincare-Birkhoff-Witt product converting graded Lie
-dimensions into enveloping-algebra dimensions, free-Lie dimension counts,
-and the Euler-characteristic inversion that ties conjectural homology to
-the dimension series.
+dimensions into enveloping-algebra dimensions, and free-Lie dimension
+counts.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class BiSeries:
             self.coeffs = [[0] * (max_t + 1) for _ in range(max_s + 1)]
         else:
             self.coeffs = coeffs
-
-    @staticmethod
-    def zero(max_s: int, max_t: int) -> BiSeries:
-        return BiSeries(max_s, max_t)
 
     @staticmethod
     def one(max_s: int, max_t: int) -> BiSeries:
@@ -195,21 +190,6 @@ def pbw(lie_dims: DimTable, max_s: int = 40, max_t: int = 8) -> BiSeries:
     return out
 
 
-def euler_series(h1: BiSeries, h2: BiSeries) -> BiSeries:
-    """1 / (1 - h1 + h2): the dimension series implied by a two-step
-    homology via the Euler characteristic of the standard complex."""
-    one = BiSeries.one(h1.max_s, h1.max_t)
-    return (one - h1 + h2).inverse()
-
-
-def euler_check(h1: BiSeries, h2: BiSeries, target: BiSeries | None = None) -> bool:
-    """Does 1/(1 - h1 + h2) reproduce the target (default: the 'ls' series
-    at the same truncation)?"""
-    if target is None:
-        target = bk_series("ls", h1.max_s, h1.max_t)
-    return euler_series(h1, h2) == target
-
-
 # ---------------------------------------------------------------------
 # Free Lie algebra dimension counting
 # ---------------------------------------------------------------------
@@ -242,7 +222,7 @@ def free_lie_dims(gen_weights: list[int], max_s: int, max_depth: int) -> DimTabl
             v[w] += 1
     table: DimTable = {}
     for d in range(1, max_depth + 1):
-        acc = BiSeries.zero(max_s, 0)
+        acc = BiSeries(max_s, 0)
         for e in range(1, d + 1):
             mu = _mobius(e)
             if d % e or not mu:

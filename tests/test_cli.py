@@ -103,6 +103,20 @@ def test_exceptional_paper_without_generator_is_usage_error(capsys):
     assert code == 1
 
 
+def test_exceptional_paper_equals_canonical(capsys):
+    # the fixed generator is the canonical one: only the name differs
+    tables = {}
+    for generator in ("paper", "canonical"):
+        code, out = run(capsys, "exceptional", "--weight", "16",
+                        "--generator", generator)
+        assert code == 0
+        tables[generator] = tsv_rows(out)
+    assert {row[0] for row in tables["paper"]} == {"f16"}
+    assert {row[0] for row in tables["canonical"]} == {"S16[0]"}
+    assert ([row[1:] for row in tables["paper"]]
+            == [row[1:] for row in tables["canonical"]])
+
+
 def test_exceptional_weight24_two_elements(capsys):
     code, out = run(capsys, "exceptional", "--weight", "24",
                     "--generator", "canonical", "--format", "json")

@@ -11,7 +11,8 @@ from doubleshuffle.exceptional import (build_exceptional, exceptional_elements,
                                        express_in_basis, interior, is_sparse,
                                        is_uneven, project)
 from doubleshuffle.ihara import bracket_lifted, depth1_generator, in_dihedral_space
-from doubleshuffle.period_poly import PeriodPolynomial, integral_generators
+from doubleshuffle.period_poly import (PeriodPolynomial, basis_S,
+                                      integral_generators, primitive_integral)
 from doubleshuffle.words import is_translation_invariant, restrict_y0, translation_lift
 from poly_helpers import is_settled, polys
 
@@ -74,6 +75,12 @@ def test_integral_generators_built_once(monkeypatch):
     assert integral_generators() is integral_generators()
     with pytest.raises(TypeError):  # shared, so read-only
         integral_generators()[12] = None
+
+
+def test_fixed_generators_are_canonical():
+    # the fixed generators are the canonical primitive integral normalization
+    for w in (12, 16, 18, 20):
+        assert integral_generators()[w].P == primitive_integral(basis_S(w)[0].P)
 
 
 def test_restriction_recovers_f1():

@@ -405,6 +405,33 @@ def test_dihedral_space_membership():
     assert not in_dihedral_space(cube)
 
 
+# Near misses, each failing the conditions flagged (even degree, sigma, tau):
+# a random lift antisymmetrized under one reflection, restricted to y_0 = 0.
+# In depth 2 and odd degree (sigma tau)^3 = -1, so sigma and tau never both
+# hold there; cube above fails the degree alone.
+NEAR_MISSES = {
+    "odd degree": (2, {(1, 2): 2, (3, 0): -3, (2, 1): -2, (0, 3): 3},
+                   (False, False, True)),
+    "tau only": (2, {(2, 0): -1, (0, 2): 1}, (True, False, True)),
+    "sigma only": (2, {(1, 1): -4, (0, 2): 2}, (True, True, False)),
+    "tau only, depth 3": (3, {(0, 0, 2): -3, (1, 0, 1): 2, (1, 1, 0): 2,
+                              (2, 0, 0): -3, (0, 1, 1): 2}, (True, False, True)),
+    "sigma only, depth 3": (3, {(0, 1, 1): 3, (0, 2, 0): -1, (2, 0, 0): -1,
+                                (1, 0, 1): -1, (0, 0, 2): 2}, (True, True, False)),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_dihedral_space_near_misses(name):
+    depth, terms, holds = NEAR_MISSES[name]
+    body = Poly(depth, terms)
+    f = DepthPoly(depth, depth + body.homogeneous_degree(), body)
+    F = f.lift()
+    assert (F.homogeneous_degree() % 2 == 0, dihedral("sigma", F) == -F,
+            dihedral("tau", F) == -F) == holds
+    assert not in_dihedral_space(f)
+
+
 def test_dihedral_space_closure_under_bracket():
     f = x_power(1)
     g = x_power(2)
@@ -451,7 +478,7 @@ def test_depth1_action_cross_oracle():
             body = Poly(arity, terms)
             if body.is_zero():
                 continue
-            g = DepthPoly.from_body(arity, body)
+            g = DepthPoly(arity, arity + body.homogeneous_degree(), body)
         if g.weight + 2 * n + 1 > 14:
             continue
         assert depth1_action(n, g).body == poly_compose(x_power(n), g).body

@@ -8,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "doubleshuffle"
 PERFBENCH = SRC.parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 # bound only so that the benchmark tracer can wrap them (perfbench/spans.py)
 ALLOWED_UNUSED = {("double_shuffle", "full_rank_certificate"),
@@ -36,23 +37,43 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == allowed
 
 
-def test_no_dead_private_helpers():
-    # every module-level _helper is referenced somewhere in the package
-    # outside its own definition
-    helpers, referenced = set(), set()
-    for path in SRC.glob("*.py"):
+def definitions_and_references(paths):
+    """The module-level function and class names defined in ``paths``, and
+    every name read there (as a name or an attribute) outside the
+    definition of the same name."""
+    defined, referenced = set(), set()
+    for path in paths:
         for stmt in ast.parse(path.read_text()).body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if own.startswith("_") and not own.startswith("__"):
-                    helpers.add(own)
+                defined.add(own)
             referenced.update(
                 name for node in ast.walk(stmt)
                 for name in (getattr(node, "id", None),
                              getattr(node, "attr", None))
                 if name and name != own)
+    return defined, referenced
+
+
+def test_no_dead_private_helpers():
+    # every module-level _helper is referenced somewhere in the package
+    # outside its own definition
+    defined, referenced = definitions_and_references(SRC.glob("*.py"))
+    helpers = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
     assert helpers <= referenced, sorted(helpers - referenced)
+
+
+def test_no_dead_public_names():
+    # every public module-level function or class of the package is read
+    # somewhere in the package, the tests or the benchmark, outside its own
+    # definition; an export from __init__ is not a reader
+    defined, _ = definitions_and_references(SRC.glob("*.py"))
+    public = {name for name in defined if not name.startswith("_")}
+    _, referenced = definitions_and_references(
+        [*SRC.glob("*.py"), *TESTS.rglob("*.py"), *PERFBENCH.rglob("*.py")])
+    assert public <= referenced, sorted(public - referenced)
 
 
 def test_benchmark_names_resolve(monkeypatch):

@@ -3,9 +3,8 @@
 import pytest
 
 from doubleshuffle.double_shuffle import dimension, ls_cells
-from doubleshuffle.series import (BiSeries, bk_series, eos, euler_check,
-                                  euler_series, free_lie_dims, hoffman_dims,
-                                  pbw)
+from doubleshuffle.series import (BiSeries, bk_series, eos, free_lie_dims,
+                                  hoffman_dims, pbw)
 
 
 def test_eos_coefficients():
@@ -137,21 +136,6 @@ def test_free_lie_dims_small_values():
     assert table.get((11, 3)) == 1
     assert table.get((8, 2)) == 1         # {3,5}
     assert table.get((6, 2)) is None      # {3,3} = 0
-
-
-# -- euler characteristic -------------------------------------------------------
-
-def test_euler_check_ls_shape():
-    _, O, S = eos(30, 8)
-    assert euler_check(O.times_t(1) + S.times_t(4), S.times_t(2))
-
-
-def test_euler_free_shape():
-    _, O, _ = eos(20, 6)
-    zero = BiSeries.zero(20, 6)
-    one = BiSeries.one(20, 6)
-    assert euler_series(O.times_t(1), zero) == (one - O.times_t(1)).inverse()
-    assert euler_series(zero, zero) == one
 
 
 def test_dump_rows_format():
