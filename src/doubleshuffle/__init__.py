@@ -14,7 +14,6 @@ from .exceptional import (ExceptionalElement, build_exceptional,
                           exceptional_elements, express_in_basis, interior,
                           is_sparse, is_uneven, project)
 from .series import BiSeries, bk_series, eos, free_lie_dims, pbw
-from .odd_mzv import (c_coefficient, compositions, odd_matrix, odd_rank,
-                      odd_rank_table, predicted_odd_table)
+from .odd_mzv import c_coefficient, compositions, odd_matrix, odd_rank
 
 __version__ = "0.1.0"

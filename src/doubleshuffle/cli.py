@@ -3,6 +3,8 @@
 All commands are pure and stateless; given identical parameters the output
 is byte-identical across runs and across parallelism degrees (independent
 (N, r) cells are mapped in a fixed order and merged deterministically).
+Each table is built once, by the command that prints it, from library
+values; a rational prints as its ``str``, p/q with no /1.
 Output is TSV (tab separators, LF line endings) or JSON with the schema
 {"command": ..., "params": ..., "rows": [...]}.
 
@@ -22,11 +24,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .exact_algebra import format_rational
 from .ihara import DepthPoly, bracket, depth1_generator
 from .double_shuffle import dimension, iterated_bracket_span, ls_cells, solve
 from .exceptional import exceptional_elements, express_in_basis
-from .odd_mzv import MAX_TABLE_WEIGHT, odd_cells, odd_rank, predicted_odd_table
+from .odd_mzv import odd_cells, odd_rank
 from .period_poly import basis_S, cusp_dimension, integral_generators
 from .series import bk_series, eos, hoffman_dims, pbw
 
@@ -37,6 +38,8 @@ MAX_BRACKET_DEPTH = 8         # a generator counts 1, an exceptional e<w> 4
 # The slowest depth-8 shape at weight 26, {3,{3,{3,{3,{3,{3,{3,5}}}}}}},
 # takes 5 s and 300 MB on one 2-vCPU core; weight 30 takes 20 s and 910 MB.
 MAX_BRACKET_WEIGHT = 26
+# bk-check odd at weight 31, depth 8: 23.5 s and 118 MB on one 2-vCPU core
+MAX_TABLE_WEIGHT = 31
 MAX_JOBS = 64                 # a pool starts all its workers at the first submit
 
 
@@ -51,7 +54,7 @@ def _emit(args, command: str, params: dict, rows: list[list],
                           separators=(",", ":")) + "\n"
     else:
         lines = [f"# {line}" for line in (header_lines or [])]
-        lines.extend("\t".join(str(v) for v in row) for row in rows)
+        lines.extend("\t".join(map(str, row)) for row in rows)
         text = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -78,6 +81,12 @@ def _dims_cell(cell: tuple[int, int]) -> list:
 def _span_cell(cell: tuple[int, int]) -> list:
     N, r = cell
     return [N, r, iterated_bracket_span(N, r).dimension]
+
+
+def _term_rows(poly) -> list[list[str]]:
+    """[exponents, coefficient] per term, in graded-lexicographic order."""
+    return [[",".join(map(str, exps)), str(coeff)]
+            for exps, coeff in poly.sorted_terms()]
 
 
 def _odd_cell(cell: tuple[int, int]) -> list:
@@ -115,9 +124,7 @@ def cmd_exceptional(args) -> int:
     for el in elements:
         headers.append(f"source: {el.name} (weight {twoN}, depth 4, "
                        f"{el.term_count()} terms)")
-        for exps, coeff in el.reduced.body.sorted_terms():
-            rows.append([el.name, ",".join(map(str, exps)),
-                         format_rational(coeff)])
+        rows.extend([el.name, *row] for row in _term_rows(el.reduced.body))
     _emit(args, "exceptional",
           {"weight": twoN, "generator": args.generator,
            "sources": [el.name for el in elements],
@@ -146,10 +153,10 @@ def cmd_bk_check(args) -> int:
     elif args.target == "odd":
         ranks = {(w, r): v for w, r, v in
                  _map_cells(_odd_cell, odd_cells(W, D), args.jobs)}
-        predicted = predicted_odd_table(W, D)
-        rows = [[w, r, ranks.get((w, r), 0), predicted.get((w, r), 0)]
+        predicted = bk_series("odd", W, D)
+        rows = [[w, r, ranks.get((w, r), 0), predicted.coefficient(w, r)]
                 for w in range(W + 1) for r in range(1, D + 1)
-                if ranks.get((w, r)) or predicted.get((w, r))]
+                if ranks.get((w, r)) or predicted.coefficient(w, r)]
     else:
         computed, predicted = bk_series("full", W, W).t_at_one(), hoffman_dims(W)
         rows = [[N, "", computed[N], predicted[N]] for N in range(W + 1)]
@@ -221,8 +228,7 @@ def _evaluate_bracket(node) -> DepthPoly:
 
 def cmd_bracket(args) -> int:
     element = _evaluate_bracket(_parse_bracket_expr(args.expr))
-    rows = [[",".join(map(str, exps)), format_rational(coeff)]
-            for exps, coeff in element.body.sorted_terms()]
+    rows = _term_rows(element.body)
     _emit(args, "bracket",
           {"expr": args.expr, "weight": element.weight, "depth": element.depth,
            "terms": len(element.body)},
@@ -260,9 +266,9 @@ def cmd_express(args) -> int:
                 rows.append([i, args.composition, args.relative_to, "undefined"])
             else:
                 rows.append([i, args.composition, args.relative_to,
-                             format_rational(Fraction(c, 1) / ref)])
+                             str(Fraction(c, 1) / ref)])
     else:
-        rows = [[i, args.composition, format_rational(c)]
+        rows = [[i, args.composition, str(c)]
                 for i, c in enumerate(coords)]
     _emit(args, "express",
           {"composition": list(composition),
@@ -282,9 +288,7 @@ def cmd_period(args) -> int:
     rows = []
     for i, pp in enumerate(elements):
         for part, poly in (("P", pp.P), ("f0", pp.f0), ("f1", pp.f1)):
-            for exps, coeff in poly.sorted_terms():
-                rows.append([i, part, ",".join(map(str, exps)),
-                             format_rational(coeff)])
+            rows.extend([i, part, *row] for row in _term_rows(poly))
     _emit(args, "period", {"weight": twoN, "dimension": len(elements)}, rows)
     return 0
 

@@ -34,13 +34,6 @@ _PRIME = 1048573
 _CHUNK = 8192
 
 
-def format_rational(q: Coeff) -> str:
-    """Render p/q with the denominator omitted when it is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _coeff(value) -> Coeff:
     """A rational as an int when integral, else a Fraction."""
     if type(value) is int:
@@ -265,7 +258,7 @@ class Poly:
     def serialize(self) -> str:
         lines = []
         for exps, coeff in self.sorted_terms():
-            lines.append(f"{','.join(map(str, exps))} : {format_rational(coeff)}")
+            lines.append(",".join(map(str, exps)) + " : " + str(coeff))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -274,7 +267,7 @@ class Poly:
         bits = []
         for exps, coeff in self.sorted_terms()[:6]:
             mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
-            bits.append(f"{format_rational(coeff)}{'*' + mono if mono else ''}")
+            bits.append(str(coeff) + ("*" + mono if mono else ""))
         suffix = ", ..." if len(self.terms) > 6 else ""
         return f"Poly({self.arity}, {' + '.join(bits)}{suffix})"
 

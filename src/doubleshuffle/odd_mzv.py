@@ -7,6 +7,7 @@ coefficients.  Collecting all pairs of compositions of N into r parts gives
 a square matrix whose exact rank counts the independent totally odd
 depth-graded elements at weight 2N + r.  Entries come from an integer
 recursion, without expanding the action; ranks are certified pivot counts.
+The CLI maps ``odd_rank`` over ``odd_cells`` for its rank table.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from math import comb
 # rank_bareiss is unused here but perfbench/spans.py wraps this name
 from .exact_algebra import _nullspace, rank_bareiss  # noqa: F401
 from .ihara import DepthPoly, depth1_action, depth1_generator
-from .series import DimTable, bk_series
 from .words import compositions  # the fixed matrix indexing (lex order)
-
-MAX_TABLE_WEIGHT = 31  # bk-check odd to W31/D8: ~32 s, 116 MB on one 2-vCPU core
 
 
 def nested_action(m: tuple[int, ...]) -> DepthPoly:
@@ -87,17 +85,3 @@ def odd_cells(max_weight: int, max_depth: int) -> list[tuple[int, int]]:
     depth-major."""
     return [(N, r) for r in range(1, max_depth + 1)
             for N in range(r, (max_weight - r) // 2 + 1)]
-
-
-def odd_rank_table(max_weight: int) -> DimTable:
-    """Exact ranks keyed by (2N + r, r), for every 2N + r <= max_weight."""
-    if max_weight > MAX_TABLE_WEIGHT:
-        raise ValueError(f"max_weight bounded by {MAX_TABLE_WEIGHT}")
-    return {(2 * N + r, r): odd_rank(N, r)
-            for N, r in odd_cells(max_weight, max_weight // 3)}
-
-
-def predicted_odd_table(max_weight: int, max_depth: int) -> DimTable:
-    """Coefficients of 1/(1 - O t + S t^2) on the same key grid."""
-    series = bk_series("odd", max_s=max_weight, max_t=max_depth)
-    return {(w, d): c for w, d, c in series.dump_rows()}

@@ -11,7 +11,6 @@ import pytest
 
 from doubleshuffle import cli
 from doubleshuffle.cli import main
-from doubleshuffle.exact_algebra import format_rational
 from doubleshuffle.exceptional import exceptional_elements
 from doubleshuffle.ihara import bracket, depth1_generator
 from doubleshuffle.period_poly import cusp_dimension
@@ -147,7 +146,7 @@ def test_bracket_exceptional_leaf(capsys):
     e12 = exceptional_elements(12, "auto")[0].reduced
     want = bracket(depth1_generator(3), e12).body.sorted_terms()
     assert len(want) == 870
-    assert tsv_rows(out) == [[",".join(map(str, exps)), format_rational(c)]
+    assert tsv_rows(out) == [[",".join(map(str, exps)), str(c)]
                              for exps, c in want]
 
 
@@ -324,6 +323,21 @@ def test_period_dump(capsys):
     assert code == 1
 
 
+def test_rationals_print_as_p_over_q(capsys):
+    # a rational prints as p/q, an integer with no /1, in TSV and JSON
+    code, out = run(capsys, "period", "--weight", "16")
+    assert code == 0
+    assert ["0", "P", "4,10", "7/2"] in tsv_rows(out)
+    code, out = run(capsys, "period", "--weight", "16", "--format", "json")
+    assert code == 0
+    assert [0, "P", "4,10", "7/2"] in json.loads(out)["rows"]
+    code, out = run(capsys, "express", "--composition", "5,4,4,3,3",
+                    "--relative-to", "1,3,5,3,7")
+    assert code == 0
+    assert tsv_rows(out)[0] == ["0", "5,4,4,3,3", "1,3,5,3,7", "187/5"]
+    # an integral ratio prints with no /1: -116 in test_express_reductions
+
+
 def test_series_dump(capsys):
     code, out = run(capsys, "series", "--kind", "S", "--max-s", "24", "--max-t", "0")
     assert code == 0
@@ -391,10 +405,6 @@ def _bump_ls(series):
     series.coeffs[12][2] += 1
 
 
-def _bump_odd(table):
-    table[12, 2] += 1
-
-
 def _bump_full_t1(dims):
     dims[20] += 1
 
@@ -402,8 +412,8 @@ def _bump_full_t1(dims):
 @pytest.mark.parametrize("argv, name, bump, key", [
     (["ls", "--max-weight", "12", "--max-depth", "3"], "bk_series", _bump_ls,
      ["12", "2"]),
-    (["odd", "--max-weight", "13", "--max-depth", "3"], "predicted_odd_table",
-     _bump_odd, ["12", "2"]),
+    (["odd", "--max-weight", "13", "--max-depth", "3"], "bk_series", _bump_ls,
+     ["12", "2"]),
     (["full-t1", "--max-weight", "20"], "hoffman_dims", _bump_full_t1,
      ["20", ""]),
 ])
@@ -426,6 +436,24 @@ def test_bk_check_mismatch_flags_one_row(capsys, monkeypatch, argv, name,
     assert tsv_rows(out) == [
         row[:3] + [str(int(row[3]) + 1), "MISMATCH"] if row[:2] == key else row
         for row in rows]
+
+
+def test_bk_check_odd_flags_a_prediction_with_no_cell(capsys, monkeypatch):
+    # (12, 3) has odd w - r, so no rank cell: a nonzero prediction there
+    # still gets a row, and that row is a mismatch
+    real = cli.bk_series
+
+    def bumped(*args):
+        series = real(*args)
+        series.coeffs[12][3] += 1
+        return series
+
+    monkeypatch.setattr(cli, "bk_series", bumped)
+    code, out = run(capsys, "bk-check", "--target", "odd",
+                    "--max-weight", "13", "--max-depth", "3")
+    assert code == 1
+    assert [row for row in tsv_rows(out) if row[-1] != "ok"] == [
+        ["12", "3", "0", "1", "MISMATCH"]]
 
 
 def test_span_table(capsys):

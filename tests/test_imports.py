@@ -76,13 +76,17 @@ def test_no_dead_public_names():
     assert public <= referenced, sorted(public - referenced)
 
 
+def package_modules():
+    return {path.stem: importlib.import_module(f"doubleshuffle.{path.stem}")
+            for path in SRC.glob("*.py") if path.name != "__init__.py"}
+
+
 def test_benchmark_names_resolve(monkeypatch):
     # the benchmark tracer (perfbench/spans.py) wraps and reads package
     # names by string; a deleted or renamed one fails its pass, not a test
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
-    modules = {path.stem: importlib.import_module(f"doubleshuffle.{path.stem}")
-               for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    modules = package_modules()
     wrapped = {(module, attr) for module, attr, _ in spans.WRAPPED}
     missing = {(module, attr) for module, attr in wrapped
                if not hasattr(modules.get(module), attr)}
@@ -90,3 +94,22 @@ def test_benchmark_names_resolve(monkeypatch):
     assert type(spans.cache_entries(modules)) is int
     # the allowlist above lasts only as long as the tracer wraps the name
     assert ALLOWED_UNUSED <= wrapped
+
+
+@pytest.mark.parametrize("target", ["ls", "odd", "full-t1"])
+def test_bk_check_prediction_is_traced(monkeypatch, capsys, target):
+    # every bk-check target reads its prediction through a name the
+    # benchmark tracer wraps, so that it counts in series.s
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    modules = package_modules()
+    tracer = spans.Tracer("test")
+    tracer.install(modules)
+    try:
+        code = modules["cli"].main(["bk-check", "--target", target,
+                                    "--max-weight", "9", "--max-depth", "3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert "series.bk_series" in {span[0] for span in tracer.spans}

@@ -5,8 +5,14 @@ from functools import lru_cache
 from doubleshuffle.exact_algebra import Poly, rank_bareiss, rank_modular
 from doubleshuffle.ihara import depth1_generator, poly_compose
 from doubleshuffle.odd_mzv import (c_coefficient, compositions, nested_action,
-                                   odd_cells, odd_matrix, odd_rank,
-                                   odd_rank_table, predicted_odd_table)
+                                   odd_cells, odd_matrix, odd_rank)
+from doubleshuffle.series import bk_series
+
+
+def rank_table(max_weight, max_depth):
+    """The ranks keyed by (2N + r, r), as bk-check odd builds them."""
+    return {(2 * N + r, r): odd_rank(N, r)
+            for N, r in odd_cells(max_weight, max_depth)}
 
 
 def test_compositions_lex_order():
@@ -70,24 +76,29 @@ def test_rank_bounds():
 
 
 def test_rank_table_matches_series():
-    table = odd_rank_table(15)
-    predicted = predicted_odd_table(15, 5)
+    table = rank_table(15, 5)
+    predicted = bk_series("odd", 15, 5)
     for w in range(16):
         for r in range(1, 6):
-            assert table.get((w, r), 0) == predicted.get((w, r), 0), (w, r)
+            assert table.get((w, r), 0) == predicted.coefficient(w, r), (w, r)
 
 
 def test_odd_grid():
     assert len(odd_cells(21, 7)) == 37  # the cells of bk-check odd W21/D7
     assert odd_cells(9, 2) == [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]
-    assert list(odd_rank_table(15)) == [(2 * N + r, r)
-                                        for N, r in odd_cells(15, 5)]
+    # the cells are exactly the support of the prediction in depth >= 1
+    assert set(rank_table(15, 5)) == {
+        (w, r) for w, r, _ in bk_series("odd", 15, 5).dump_rows() if r}
 
 
 def test_rank_table_parity():
-    table = odd_rank_table(15)
-    for (w, r) in table:
-        assert (w - r) % 2 == 0
+    table = rank_table(15, 5)
+    predicted = bk_series("odd", 15, 5)
+    for w in range(16):
+        for r in range(1, 6):
+            if (w - r) % 2:
+                assert (w, r) not in table, (w, r)
+                assert predicted.coefficient(w, r) == 0, (w, r)
 
 
 def test_modular_agreement_on_emitted_values():
@@ -134,9 +145,9 @@ def test_odd_rank_equals_bareiss_and_modular_ranks():
 
 
 def test_rank_table_matches_series_to_weight25():
-    table = odd_rank_table(25)
-    predicted = predicted_odd_table(25, 8)
+    table = rank_table(25, 8)
+    predicted = bk_series("odd", 25, 8)
     assert max(r for _, r in table) == 8
-    for key in set(table) | set(predicted):
-        if key[1] >= 1:
-            assert table.get(key, 0) == predicted.get(key, 0), key
+    for w in range(26):
+        for r in range(1, 9):
+            assert table.get((w, r), 0) == predicted.coefficient(w, r), (w, r)
